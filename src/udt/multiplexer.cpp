@@ -753,7 +753,7 @@ void Multiplexer::serve(Shard& sh, std::uint32_t id) {
   if (next == Clock::time_point::max()) return;  // parked until kicked
   if (s->tx_scheduled_.exchange(true)) return;   // a kick re-queued it first
   // The heap is this tx thread's private state — requeue without any lock.
-  sh.heap.push_back(TxEntry{next, sh.order++, id});
+  sh.heap.push_back(TxEntry{next, sh.order++, id, s->opts_.enable_profiler});
   std::push_heap(sh.heap.begin(), sh.heap.end(), TxLater{});
 }
 
@@ -809,14 +809,27 @@ void Multiplexer::tx_loop(Shard& sh) {
       tx_park(sh, next_kick_sweep);
       continue;
     }
-    const auto due = sh.heap.front().due;
-    if (due > now) {
-      if (due - now > Pacer::kSpinThreshold) {
-        tx_park(sh, std::min(due - Pacer::kSpinThreshold, next_kick_sweep));
+    const TxEntry head = sh.heap.front();
+    if (head.due > now) {
+      if (head.due - now > Pacer::kSpinThreshold) {
+        tx_park(sh,
+                std::min(head.due - Pacer::kSpinThreshold, next_kick_sweep));
       } else {
         // Sub-threshold remainder: spin for §4.5 precision, exactly as the
         // per-socket Pacer would.
-        Pacer::wait_until(due);
+        Pacer::wait_until(head.due);
+      }
+      if (head.profiled) {
+        // Table 3's "timing" row: this wait is the pacing wait of the
+        // socket at the heap's head (a kick may have cut it short).  Only
+        // profiled sockets flag their entries, so untraced runs skip this.
+        const std::chrono::nanoseconds waited = Clock::now() - now;
+        std::shared_lock al{sh.attach_mu};
+        const auto it = sh.socks.find(head.id);
+        if (it != sh.socks.end()) {
+          it->second->profiler_.add(ProfUnit::kTiming,
+                                    static_cast<std::uint64_t>(waited.count()));
+        }
       }
       continue;
     }

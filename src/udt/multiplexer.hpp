@@ -289,6 +289,9 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
     Clock::time_point due;
     std::uint64_t order = 0;
     std::uint32_t id = 0;
+    // The socket has enable_profiler set: the tx thread's wait for this
+    // deadline is charged to its ProfUnit::kTiming.
+    bool profiled = false;
   };
   struct TxLater {
     bool operator()(const TxEntry& a, const TxEntry& b) const {

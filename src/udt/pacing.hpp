@@ -24,49 +24,32 @@ class Pacer {
   Pacer() : next_(Clock::now()) {}
 
   // Blocks until the scheduled send instant, then advances the schedule by
-  // `period`.  If we are already late, sending proceeds immediately and the
-  // schedule re-anchors at now (no packet bursts to "catch up" — that would
-  // defeat rate control, §4.5).
-  void pace(std::chrono::nanoseconds period) { pace(period, 1); }
-
-  // Batched variant: one wait covers `count` back-to-back packets, and the
-  // schedule advances by count * period, so the average rate is exactly the
-  // per-packet schedule while the syscall cost is paid once per batch.  The
-  // §3.3 inter-packet spacing becomes inter-*batch* spacing; callers bound
-  // the batch to a small horizon (see batch_credit) so the burst stays well
-  // under kernel buffer scale.  The late-schedule re-anchor rule is
-  // unchanged.
-  void pace(std::chrono::nanoseconds period, int count) {
-    const auto total = period * std::max(count, 1);
+  // count * period.  One wait covers `count` back-to-back packets, so the
+  // average rate is exactly the per-packet schedule while the syscall cost
+  // is paid once per batch.  The §3.3 inter-packet spacing becomes
+  // inter-*batch* spacing; callers bound the batch to a small horizon (see
+  // batch_credit) so the burst stays well under kernel buffer scale.  If we
+  // are already late, sending proceeds immediately and advance() decides
+  // whether the schedule keeps its grid or re-anchors at now (never a
+  // catch-up burst — that would defeat rate control, §4.5).
+  void pace(std::chrono::nanoseconds period, int count = 1,
+            bool carry = false) {
     const auto now = Clock::now();
-    if (next_ <= now) {
-      next_ = now + total;
-      return;
-    }
-    wait_until(next_);
-    next_ += total;
+    if (next_ > now) wait_until(next_);
+    advance(period * std::max(count, 1), carry, now);
   }
 
   // Non-blocking variant for an external scheduler (the multiplexer's send
-  // heap): the caller is expected to have waited until next_send() itself
-  // before sending `count` packets, and this advances the schedule exactly
-  // as pace() would have — including the late re-anchor rule, so a socket
-  // that fell behind resumes at its rate instead of bursting to catch up.
-  void schedule(std::chrono::nanoseconds period, int count) {
-    const auto total = period * std::max(count, 1);
-    const auto now = Clock::now();
-    if (next_ <= now) {
-      next_ = now + total;
-    } else {
-      next_ += total;
-    }
+  // heap): the caller waited until next_send() itself and has already sent
+  // the `count` packets, so `now` is the post-send instant.  Same advance
+  // rule as pace(); only the wait differs.
+  void schedule(std::chrono::nanoseconds period, int count, bool carry,
+                Clock::time_point now = Clock::now()) {
+    advance(period * std::max(count, 1), carry, now);
   }
 
-  // Re-anchors the schedule (e.g. after a freeze or an idle stretch).
-  void reset() { next_ = Clock::now(); }
-  void delay_until(Clock::time_point t) {
-    if (t > next_) next_ = t;
-  }
+  // Re-anchors the schedule at `now` (tests inject their own clock here).
+  void reset(Clock::time_point now = Clock::now()) { next_ = now; }
   [[nodiscard]] Clock::time_point next_send() const { return next_; }
 
   static void wait_until(Clock::time_point t) {
@@ -80,6 +63,27 @@ class Pacer {
   }
 
  private:
+  // The one schedule rule, for a batch spanning `total` that went out at
+  // `now`.  A batch that is on time, or late by no more than its own span
+  // when `carry` is set, keeps the grid: next_ += total, so its lateness
+  // shortens the next gap instead of being lost.  Anything later re-anchors
+  // at now + total.  `carry` is for open-loop rates (the user's
+  // max_bandwidth_mbps cap), where nothing else corrects drift: re-anchoring
+  // every batch there loses each round's wake-up lateness and syscall time
+  // for good.  A closed-loop controller converges on the path's rate
+  // whatever the pacer loses, so its batches re-anchor as soon as they are
+  // late (carry = false).  The worst burst the carry allows is one extra
+  // batch.
+  void advance(std::chrono::nanoseconds total, bool carry,
+               Clock::time_point now) {
+    const auto slack = carry ? total : std::chrono::nanoseconds::zero();
+    if (now - next_ > slack) {
+      next_ = now + total;
+    } else {
+      next_ += total;
+    }
+  }
+
   Clock::time_point next_;
 };
 

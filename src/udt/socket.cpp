@@ -497,7 +497,8 @@ bool Socket::snd_has_work() const {
          static_cast<double>(snd_next_ - snd_una_) < wnd;
 }
 
-std::size_t Socket::fill_tx_batch(double& period_s) {
+std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
+                                  bool& cap_bound) {
   // Lazy scratch: sized on the first batch this socket ever stages, so the
   // ~100 KB of wire buffers (legacy path) or header slots never exist for
   // sockets that never send.
@@ -510,21 +511,25 @@ std::size_t Socket::fill_tx_batch(double& period_s) {
   std::int64_t pin_first = -1;
   std::int64_t pin_end = -1;
 
-  period_s = cc_->pkt_send_period_s();
+  double period_s = cc_->pkt_send_period_s();
+  cap_bound = false;
   if (opts_.max_bandwidth_mbps > 0.0) {
     const double min_period = (opts_.mss_bytes + kHeaderBytes) * 8.0 /
                               (opts_.max_bandwidth_mbps * 1e6);
+    // The user's cap, not the controller, sets this batch's period: the
+    // pacer then carries its lateness (see Pacer::advance).
+    cap_bound = min_period >= period_s;
     period_s = std::max(period_s, min_period);
   }
+  period = std::chrono::nanoseconds{static_cast<std::int64_t>(period_s * 1e9)};
   // Accumulate up to one pacing-credit of packets for a single syscall:
   // the credit never spans more than ~200 us of §4.5 schedule, so low
   // rates degenerate to one packet per call (true inter-packet spacing)
   // while GigE-class rates amortise the syscall 8-16x.  GSO run sizing
   // downstream is bounded by this same credit — send_gather never sees
   // more datagrams than the pacer granted.
-  const auto credit = static_cast<std::size_t>(batch_credit(
-      std::chrono::nanoseconds{static_cast<std::int64_t>(period_s * 1e9)},
-      tx_max_batch_));
+  const auto credit =
+      static_cast<std::size_t>(batch_credit(period, tx_max_batch_));
   const double wnd = effective_snd_window();
   const auto next_new = [&]() -> std::int64_t {
     // TTL-dropped chunks transmit nothing, so the flow-control window does
@@ -655,7 +660,8 @@ void Socket::sender_loop() {
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
 
   while (running_) {
-    double period = 0.0;
+    std::chrono::nanoseconds period{0};
+    bool cap_bound = false;
     std::size_t count = 0;
     {
       std::unique_lock lk{state_mu_};
@@ -679,19 +685,17 @@ void Socket::sender_loop() {
             remain, std::chrono::milliseconds{50}));
         continue;
       }
-      count = fill_tx_batch(period);
+      count = fill_tx_batch(period, cap_bound);
     }
     if (count == 0) continue;
 
     // Pace outside the lock: one wait covers the whole batch and the
     // schedule advances by batch-size periods, so the average rate is
     // exactly the per-packet §4.5 schedule.  The §4.4 guard lives inside
-    // Pacer (a late schedule re-anchors instead of bursting).
+    // Pacer (a late schedule never bursts to catch up).
     {
       ScopedTimer t{prof, ProfUnit::kTiming};
-      pacer_.pace(std::chrono::nanoseconds{
-                      static_cast<std::int64_t>(period * 1e9)},
-                  static_cast<int>(count));
+      pacer_.pace(period, static_cast<int>(count), cap_bound);
     }
     const bool deferred = send_tx_batch(count);
     if (opts_.zero_copy && !deferred) {
@@ -712,7 +716,8 @@ Pacer::Clock::time_point Socket::tx_round() {
   // One multiplexed sender round: the shared send thread has (nominally)
   // waited until this socket's pacing deadline.  Fill a credit's worth,
   // push it to the wire, advance the schedule, hand the next deadline back.
-  double period = 0.0;
+  std::chrono::nanoseconds period{0};
+  bool cap_bound = false;
   std::size_t count = 0;
   {
     std::unique_lock lk{state_mu_};
@@ -738,19 +743,17 @@ Pacer::Clock::time_point Socket::tx_round() {
     // reschedule at the pacer's instant.
     const auto next = pacer_.next_send();
     if (next > Pacer::Clock::now()) return next;
-    count = fill_tx_batch(period);
+    count = fill_tx_batch(period, cap_bound);
     if (count == 0) {
       tx_dirty_.store(false, std::memory_order_relaxed);
       return Pacer::Clock::time_point::max();
     }
   }
   const bool deferred = send_tx_batch(count);
-  // schedule() is pace() minus the wait (the heap already waited): the
-  // late re-anchor rule is preserved, so a socket that fell behind resumes
-  // at its rate instead of bursting.
-  pacer_.schedule(std::chrono::nanoseconds{
-                      static_cast<std::int64_t>(period * 1e9)},
-                  static_cast<int>(count));
+  // The heap already waited; schedule() applies pace()'s advance rule at
+  // the post-send instant, so a cap-bound batch keeps its grid and a
+  // socket that fell far behind resumes at its rate instead of bursting.
+  pacer_.schedule(period, static_cast<int>(count), cap_bound);
   bool more;
   {
     std::lock_guard lk{state_mu_};

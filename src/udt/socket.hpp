@@ -438,8 +438,10 @@ class Socket {
   void prepare_tx_scratch();
   // Fills the tx scratch with up to one pacing-credit of packets and pins
   // the covered range (zero-copy).  state_mu_ held.  Returns the number of
-  // datagrams staged and the pacing period via `period_s`.
-  std::size_t fill_tx_batch(double& period_s);
+  // datagrams staged, the pacing period via `period`, and via `cap_bound`
+  // whether max_bandwidth_mbps (not the controller) set that period.
+  std::size_t fill_tx_batch(std::chrono::nanoseconds& period,
+                            bool& cap_bound);
   // Pushes `count` staged datagrams to the wire (lock dropped).  Returns
   // true when the batch went out asynchronously (uring backend): the pin is
   // then released by on_tx_reaped when the completion lands, and the caller

@@ -423,7 +423,10 @@ TEST(Multiplexer, SendHeapHonoursMixedRateCaps) {
   // on an oversubscribed CI runner the aggregate can land far below the
   // 70 Mb/s the caps add up to, but the shared send thread must still
   // split whatever was achieved roughly cap-proportionally.  The over-cap
-  // bound stays absolute — honoring a cap does not depend on load.
+  // bound stays absolute — honoring a cap does not depend on load — and
+  // has no headroom: payload goodput sits a header's share below the
+  // wire-rate cap, so a pacer that carried lateness into catch-up bursts
+  // would cross it.
   double total_mbps = 0.0;
   for (int i = 0; i < kFlows; ++i) {
     total_mbps += static_cast<double>(delivered[static_cast<std::size_t>(i)]) *
@@ -438,7 +441,7 @@ TEST(Multiplexer, SendHeapHonoursMixedRateCaps) {
         elapsed_s / 1e6;
     EXPECT_GT(mbps, caps_mbps[i] * 0.4 * achieved_frac)
         << "flow " << i << " starved (aggregate " << total_mbps << " Mb/s)";
-    EXPECT_LT(mbps, caps_mbps[i] * 1.3) << "flow " << i << " over cap";
+    EXPECT_LE(mbps, caps_mbps[i]) << "flow " << i << " over cap";
   }
 }
 

@@ -58,6 +58,46 @@ TEST(Pacer, BatchedPaceAdvancesScheduleByCountPeriods) {
   EXPECT_GE(elapsed, std::chrono::microseconds{9 * 500 - 200});
 }
 
+TEST(Pacer, ScheduleKeepsGridOrReanchors) {
+  // The advance rule through schedule() with an injected clock: no sleeps,
+  // so every expectation is exact.  A batch of 4 at 10 us spans 40 us.
+  // Cap-bound batches (carry) keep the grid while late by at most one
+  // span; anything later, and any late controller-paced batch, re-anchors.
+  using us = std::chrono::microseconds;
+  struct Case {
+    const char* what;
+    bool carry;
+    us late;
+    us next;  // expected next_send(), relative to the batch's deadline
+  };
+  const Case cases[] = {
+      {"on time, cap-bound", true, us{0}, us{40}},
+      {"on time, controller-paced", false, us{0}, us{40}},
+      {"cap-bound, late within a span", true, us{25}, us{40}},
+      {"cap-bound, late by exactly a span", true, us{40}, us{40}},
+      {"cap-bound, late beyond a span", true, us{50}, us{90}},
+      {"controller-paced, late", false, us{25}, us{65}},
+  };
+  for (const Case& c : cases) {
+    Pacer pacer;
+    const auto t0 = Clock::now();
+    pacer.reset(t0);
+    pacer.schedule(us{10}, 4, c.carry, t0 + c.late);
+    EXPECT_EQ(pacer.next_send(), t0 + c.next) << c.what;
+  }
+}
+
+TEST(Pacer, PaceAppliesTheSameRule) {
+  // pace() on a late schedule returns at once and advances like schedule():
+  // a 100 ms span absorbs the ~1 ms of lateness, so the grid holds.
+  const auto period = std::chrono::milliseconds{25};
+  Pacer pacer;
+  const auto t0 = Clock::now() - std::chrono::milliseconds{1};
+  pacer.reset(t0);
+  pacer.pace(period, 4, /*carry=*/true);
+  EXPECT_EQ(pacer.next_send(), t0 + 4 * period);
+}
+
 TEST(Pacer, BatchCreditRespectsHorizonAndBounds) {
   using std::chrono::microseconds;
   // Low rate (period above the horizon): strict per-packet pacing.
