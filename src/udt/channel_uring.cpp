@@ -699,21 +699,23 @@ struct UringEngine::Impl {
     TxRecord* rec = nullptr;
     unsigned rec_idx = 0;
     {
+      // The owner (done, ctx) is set under the same lock as in_use:
+      // drain_tx matches in-use records by ctx from another thread.
       std::lock_guard lk{cq_mu};
       for (unsigned i = 0; i < recs.size(); ++i) {
         if (!recs[i].in_use) {
           rec = &recs[i];
           rec_idx = i;
           rec->in_use = true;
+          rec->done = done;
+          rec->ctx = ctx;
+          rec->token = token;
           break;
         }
       }
     }
     if (rec == nullptr) return false;  // all records in flight: go sync
 
-    rec->done = done;
-    rec->ctx = ctx;
-    rec->token = token;
     rec->sa = dst.to_sockaddr();
     rec->heads.clear();
     rec->dgrams.clear();

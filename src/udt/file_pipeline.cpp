@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/thread_name.hpp"
+
 namespace udtr::udt {
 
 namespace {
@@ -72,6 +74,7 @@ FileSource::FileSource(const std::string& path, std::uint64_t offset,
   }
   if (cfg.use_uring) uring_active_ = ring_.open(16);
   reader_ = std::thread([this] { reader_loop(); });
+  set_thread_name(reader_, "udt-file-rd");
 }
 
 FileSource::~FileSource() {
@@ -247,6 +250,7 @@ FileSink::FileSink(std::string path, std::uint64_t expected_len,
       throttle_(cfg.throttle_mbps) {
   if (cfg.use_uring) uring_active_ = ring_.open(32);
   writer_ = std::thread([this] { writer_loop(); });
+  set_thread_name(writer_, "udt-file-wr");
 }
 
 FileSink::~FileSink() { finish(false); }

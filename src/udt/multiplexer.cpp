@@ -4,6 +4,9 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/thread_name.hpp"
 
 namespace udtr::udt {
 
@@ -249,10 +252,12 @@ void Multiplexer::start() {
     sh->due_scratch.reserve(256);
   }
   running_ = true;
-  for (auto& sh : shards_) {
-    Shard* p = sh.get();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard* p = shards_[i].get();
     p->rx_thread = std::thread([this, p] { rx_loop(*p); });
     p->tx_thread = std::thread([this, p] { tx_loop(*p); });
+    set_thread_name(p->rx_thread, "udt-rx/" + std::to_string(i));
+    set_thread_name(p->tx_thread, "udt-tx/" + std::to_string(i));
   }
 }
 

@@ -27,11 +27,12 @@ class Pacer {
   // count * period.  One wait covers `count` back-to-back packets, so the
   // average rate is exactly the per-packet schedule while the syscall cost
   // is paid once per batch.  The §3.3 inter-packet spacing becomes
-  // inter-*batch* spacing; callers bound the batch to a small horizon (see
-  // batch_credit) so the burst stays well under kernel buffer scale.  If we
-  // are already late, sending proceeds immediately and advance() decides
-  // whether the schedule keeps its grid or re-anchors at now (never a
-  // catch-up burst — that would defeat rate control, §4.5).
+  // inter-*batch* spacing; callers bound the batch to about 1 ms of the
+  // pacing rate (kBatchHorizon, see batch_credit) so the burst stays well
+  // under kernel buffer scale.  If we are already late, sending proceeds
+  // immediately and advance() decides whether the schedule keeps its grid
+  // or re-anchors at now (never a catch-up burst — that would defeat rate
+  // control, §4.5).
   void pace(std::chrono::nanoseconds period, int count = 1,
             bool carry = false) {
     const auto now = Clock::now();
@@ -87,19 +88,28 @@ class Pacer {
   Clock::time_point next_;
 };
 
+// The span of schedule one send may cover: about 1 ms of the pacing rate,
+// the rule Linux TCP uses to size each TSO/GSO burst (tcp_tso_autosize,
+// with sk_pacing_shift = 10, i.e. rate >> 10 bytes per burst).  It is long
+// enough that a capped stream fills a whole io_batch per syscall (16
+// packets from ~190 Mb/s up at MSS 1500), and short enough that a burst
+// stays small against the round-trip times of the wide-area paths UDT
+// is paced for.
+inline constexpr std::chrono::nanoseconds kBatchHorizon =
+    std::chrono::milliseconds{1};
+
 // How many packets one send syscall may cover at the given pacing period
-// without distorting the §4.5 schedule: enough to amortise the syscall at
-// high rates, but never spanning more than `horizon` of schedule, and
-// always 1 when the period itself exceeds the horizon (low rates keep true
-// per-packet spacing).  `max_batch` is the caller's hard ceiling (iovec
-// array size / SocketOptions::io_batch).
+// without distorting the §4.5 schedule: floor(kBatchHorizon / period),
+// enough to amortise the syscall whenever the rate is above a packet per
+// horizon, and always 1 when the period itself exceeds the horizon (under
+// ~12 Mb/s at MSS 1500, rates keep true per-packet spacing).  `max_batch`
+// is the caller's hard ceiling (iovec array size / SocketOptions::
+// io_batch), so io_batch = 1 still means one packet per syscall.
 [[nodiscard]] inline int batch_credit(std::chrono::nanoseconds period,
-                                      int max_batch,
-                                      std::chrono::nanoseconds horizon =
-                                          std::chrono::microseconds{200}) {
+                                      int max_batch) {
   if (max_batch <= 1) return 1;
   if (period <= std::chrono::nanoseconds::zero()) return max_batch;
-  const auto n = horizon.count() / period.count();
+  const auto n = kBatchHorizon.count() / period.count();
   return static_cast<int>(
       std::clamp<std::int64_t>(n, 1, static_cast<std::int64_t>(max_batch)));
 }

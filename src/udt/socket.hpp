@@ -117,9 +117,10 @@ struct SocketOptions {
   // paper's profile (Table 3) shows the per-packet sendto/recvfrom calls
   // dominating CPU on both sides; batching amortises them via
   // sendmmsg/recvmmsg while the Pacer keeps the average rate on the §4.5
-  // schedule (batch_credit bounds each burst to a ~200 us horizon, so low
-  // rates still get true per-packet spacing).  1 = unbatched, the paper's
-  // original per-packet behavior; clamped to [1, 64].
+  // schedule (batch_credit bounds each burst to ~1 ms of the pacing rate,
+  // the tcp_tso_autosize rule, so rates under one packet per ms still get
+  // true per-packet spacing).  1 = unbatched, the paper's original
+  // per-packet behavior; clamped to [1, 64].
   int io_batch = 16;
   // Zero-copy datapath: the sender hands the kernel (header, payload)
   // iovecs pointing straight into SndBuffer chunks (no staging buffer,

@@ -100,15 +100,21 @@ TEST(Pacer, PaceAppliesTheSameRule) {
 
 TEST(Pacer, BatchCreditRespectsHorizonAndBounds) {
   using std::chrono::microseconds;
-  // Low rate (period above the horizon): strict per-packet pacing.
-  EXPECT_EQ(batch_credit(microseconds{300}, 16), 1);
-  // High rate: the 200 us horizon divided by the period, capped by max.
-  EXPECT_EQ(batch_credit(microseconds{25}, 16), 8);
-  EXPECT_EQ(batch_credit(microseconds{10}, 16), 16);
-  EXPECT_EQ(batch_credit(microseconds{10}, 4), 4);
-  // Unpaced (period 0) saturates the batch; batching off always yields 1.
+  // The horizon is ~1 ms of the pacing rate (Linux's tcp_tso_autosize).
+  EXPECT_EQ(kBatchHorizon, std::chrono::milliseconds{1});
+  // Period above the horizon (< ~12 Mb/s): strict per-packet pacing.
+  EXPECT_EQ(batch_credit(microseconds{1001}, 16), 1);
+  EXPECT_EQ(batch_credit(microseconds{5000}, 16), 1);
+  // Otherwise floor(1 ms / period), capped by max.
+  EXPECT_EQ(batch_credit(microseconds{300}, 16), 3);
+  EXPECT_EQ(batch_credit(microseconds{121}, 16), 8);
+  EXPECT_EQ(batch_credit(microseconds{25}, 16), 16);
+  EXPECT_EQ(batch_credit(microseconds{25}, 4), 4);
+  // Unpaced (period 0) saturates the batch; io_batch = 1 always yields 1.
   EXPECT_EQ(batch_credit(std::chrono::nanoseconds{0}, 16), 16);
   EXPECT_EQ(batch_credit(microseconds{1}, 1), 1);
+  EXPECT_EQ(batch_credit(microseconds{300}, 1), 1);
+  EXPECT_EQ(batch_credit(microseconds{5000}, 1), 1);
 }
 
 TEST(Profiler, AccumulatesPerUnit) {

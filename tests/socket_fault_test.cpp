@@ -90,11 +90,14 @@ TEST(SocketFault, TransferExactUnderDropReorderAndBurstOutage) {
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);
 
+  // Build the payload before scheduling the outage: under a sanitizer,
+  // building it can take longer than the outage lasts, which would let
+  // the outage expire before the first datagram goes out.
+  const auto payload = make_payload(2 << 20, 42);
+
   // One 200 ms burst outage, hitting mid-transfer.
   faults->schedule_outage(std::chrono::milliseconds{100},
                           std::chrono::milliseconds{200});
-
-  const auto payload = make_payload(2 << 20, 42);
   const auto got = pump(*p.client, *p.server, payload);
   EXPECT_EQ(got.size(), payload.size());  // no loss, no duplication
   EXPECT_EQ(got, payload);                // ... and byte-exact
@@ -413,14 +416,17 @@ TEST(SocketFault, ConnectRejectsHostileMssAndAcceptsValidResponse) {
       resp.mss_bytes = hostile_then_valid[answered];
       resp.socket_id = 77;
       resp.port = fake.local_port();
+      // The encoder always writes the cookie words; the response sent
+      // carries only the cookie-less payload.
       std::vector<std::uint8_t> out(kHeaderBytes +
-                                    4 * HandshakePayload::kWords);
+                                    4 * HandshakePayload::kWordsWithCookie);
       CtrlHeader out_hdr;
       out_hdr.type = CtrlType::kHandshake;
       out_hdr.dst_socket = req->socket_id;
       write_ctrl_header(out, out_hdr);
       encode_handshake_payload(std::span{out}.subspan(kHeaderBytes), resp);
-      fake.send_to(src, out);
+      fake.send_to(src, std::span{out}.first(kHeaderBytes +
+                                             4 * HandshakePayload::kWords));
       ++answered;
     }
     return answered;
@@ -459,14 +465,17 @@ TEST(SocketFault, ConnectRefusesWhenOnlyHostileMssResponsesArrive) {
       resp.mss_bytes = 1u << 24;  // absurd
       resp.socket_id = 99;
       resp.port = fake.local_port();
+      // The encoder always writes the cookie words; the response sent
+      // carries only the cookie-less payload.
       std::vector<std::uint8_t> out(kHeaderBytes +
-                                    4 * HandshakePayload::kWords);
+                                    4 * HandshakePayload::kWordsWithCookie);
       CtrlHeader out_hdr;
       out_hdr.type = CtrlType::kHandshake;
       out_hdr.dst_socket = req->socket_id;
       write_ctrl_header(out, out_hdr);
       encode_handshake_payload(std::span{out}.subspan(kHeaderBytes), resp);
-      fake.send_to(src, out);
+      fake.send_to(src, std::span{out}.first(kHeaderBytes +
+                                             4 * HandshakePayload::kWords));
     }
   });
 
