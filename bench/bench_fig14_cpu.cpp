@@ -41,13 +41,12 @@ struct Measured {
 // per-transport at matched throughput, as in the paper's testbed.
 constexpr double kTargetMbps = 950.0;
 
-Measured run_udt(double seconds, int io_batch, bool zero_copy = true,
+Measured run_udt(double seconds, int io_batch,
                  udtr::udt::IoBackend backend = udtr::udt::IoBackend::kMmsg) {
   using namespace udtr::udt;
   SocketOptions opts;
   opts.max_bandwidth_mbps = kTargetMbps;
   opts.io_batch = io_batch;
-  opts.zero_copy = zero_copy;
   opts.io_backend = backend;
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
@@ -160,18 +159,12 @@ int main(int argc, char** argv) {
 
   const bool uring = udtr::udt::UdpChannel::uring_supported();
   const Measured udt = run_udt(seconds, /*io_batch=*/16);
-  // Third datapath column: the same zero-copy transfer on the io_uring
+  // Second datapath column: the same zero-copy transfer on the io_uring
   // backend (batched sendmsg SQEs + multishot recvmsg on a registered
   // buffer ring).  Zeroed out where the kernel lacks io_uring.
   const Measured udt_uring =
-      uring ? run_udt(seconds, /*io_batch=*/16, /*zero_copy=*/true,
-                      udtr::udt::IoBackend::kUring)
+      uring ? run_udt(seconds, /*io_batch=*/16, udtr::udt::IoBackend::kUring)
             : Measured{0.0, 0.0};
-  // The PR 2 baseline: batched syscalls but the staging/copying datapath
-  // (no iovec gather, no slab, no GSO/GRO) — what zero-copy is measured
-  // against.
-  const Measured udt_legacy =
-      run_udt(seconds, /*io_batch=*/16, /*zero_copy=*/false);
   const Measured udt1 = run_udt(seconds, /*io_batch=*/1);
   const Measured tcp = run_kernel_tcp(seconds);
 
@@ -186,17 +179,12 @@ int main(int argc, char** argv) {
   }
   std::printf("%-24s %10.0f %16.1f %14.1f\n", "UDT (mmsg zc, b=16)",
               udt.mbps, udt.cpu_percent, cpu_per_gbps(udt));
-  std::printf("%-24s %10.0f %16.1f %14.1f\n", "UDT (staging, b=16)",
-              udt_legacy.mbps, udt_legacy.cpu_percent,
-              cpu_per_gbps(udt_legacy));
   std::printf("%-24s %10.0f %16.1f %14.1f\n", "UDT (batch=1)", udt1.mbps,
               udt1.cpu_percent, cpu_per_gbps(udt1));
   std::printf("%-24s %10.0f %16.1f %14.1f\n", "kernel TCP", tcp.mbps,
               tcp.cpu_percent, cpu_per_gbps(tcp));
   const double save = cpu_per_gbps(udt1) > 0
       ? 100.0 * (1.0 - cpu_per_gbps(udt) / cpu_per_gbps(udt1)) : 0.0;
-  const double zc_save = cpu_per_gbps(udt_legacy) > 0
-      ? 100.0 * (1.0 - cpu_per_gbps(udt) / cpu_per_gbps(udt_legacy)) : 0.0;
   const double uring_save = (uring && cpu_per_gbps(udt) > 0)
       ? 100.0 * (1.0 - cpu_per_gbps(udt_uring) / cpu_per_gbps(udt)) : 0.0;
   // Same-host CPU-cost ratio uring/mmsg, centered at 1.0 — unlike the
@@ -206,8 +194,6 @@ int main(int argc, char** argv) {
       ? cpu_per_gbps(udt_uring) / cpu_per_gbps(udt) : 0.0;
   std::printf("\nbatched I/O (sendmmsg/recvmmsg, batch=16) vs per-packet "
               "syscalls (batch=1): %.1f%% less CPU per Gb/s.\n", save);
-  std::printf("zero-copy + GSO/GRO vs the staging datapath at batch=16: "
-              "%.1f%% less CPU per Gb/s.\n", zc_save);
   if (uring) {
     std::printf("io_uring datapath vs mmsg zero-copy at batch=16: %.1f%% "
                 "less CPU per Gb/s.\n", uring_save);
@@ -224,10 +210,6 @@ int main(int argc, char** argv) {
       {"udt_unbatched_mbps", udt1.mbps},
       {"udt_unbatched_cpu_percent", udt1.cpu_percent},
       {"udt_unbatched_cpu_per_gbps", cpu_per_gbps(udt1)},
-      {"udt_legacy_batched_mbps", udt_legacy.mbps},
-      {"udt_legacy_batched_cpu_percent", udt_legacy.cpu_percent},
-      {"udt_legacy_batched_cpu_per_gbps", cpu_per_gbps(udt_legacy)},
-      {"zerocopy_cpu_per_gbps_saving_percent", zc_save},
       {"tcp_mbps", tcp.mbps},
       {"tcp_cpu_percent", tcp.cpu_percent},
       {"tcp_cpu_per_gbps", cpu_per_gbps(tcp)},

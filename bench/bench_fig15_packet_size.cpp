@@ -35,8 +35,7 @@ Out run(int payload_bytes, double seconds) {
 
   SocketOptions opts;
   opts.mss_bytes = payload_bytes;
-  opts.loss_injection = pkt_loss;
-  opts.loss_seed = 11;
+  opts.faults = make_loss_injector(pkt_loss, 11, kHeaderBytes + 16);
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});

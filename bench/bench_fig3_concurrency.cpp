@@ -6,15 +6,16 @@
 // On top of the simulated sweep, a real-socket section measures the
 // loopback stack as the flow count grows, in both connection modes: the
 // multiplexed default (all flows share one UDP port and one pair of service
-// threads per endpoint) and the legacy exclusive-port mode (two dedicated
-// threads per socket).  The paper's §3.6 concern — per-connection cost
-// limits concurrency — is exactly what the multiplexer removes.
+// threads per shard per endpoint) and exclusive-port mode (every socket on
+// a private single-shard multiplexer: its own port and two threads).  The
+// paper's §3.6 concern — per-connection cost limits concurrency — is
+// exactly what sharing the multiplexer removes.  The bench exits non-zero
+// when any real-socket run fails.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -133,29 +134,20 @@ RealRun run_real(int flows, bool exclusive, std::size_t total_bytes,
 
 // Idle-fleet timer cost: `flows` established-but-silent connections, and
 // the number of per-socket timer sweeps the server-side multiplexer runs
-// over a one-second window.  The legacy full walk (UDTR_FULL_SWEEP=1)
-// sweeps every socket every millisecond; the timer wheel only fires the
-// entries actually due, so idle sockets park at EXP cadence.
+// over a one-second window.  The timer wheel only fires the entries
+// actually due, so idle sockets park at EXP cadence instead of being swept
+// every millisecond.
 struct IdleSweepRun {
   double sweeps_per_sock_per_s = 0.0;
   bool ok = false;
 };
 
-IdleSweepRun run_idle_sweep(int flows, bool full_walk) {
+IdleSweepRun run_idle_sweep(int flows) {
   using namespace udtr::udt;
   IdleSweepRun out;
-  // The sweep mode is read when the multiplexer opens, and a distinct syn_s
-  // per mode keeps for_client() from reusing a multiplexer opened under the
-  // other mode.
-  if (full_walk) {
-    ::setenv("UDTR_FULL_SWEEP", "1", 1);
-  } else {
-    ::unsetenv("UDTR_FULL_SWEEP");
-  }
   SocketOptions opts;
   opts.snd_buffer_bytes = 64 << 10;
   opts.rcv_buffer_pkts = 128;
-  opts.syn_s = full_walk ? 0.0101 : 0.0102;
   {
     auto listener = Socket::listen(0, opts);
     if (!listener) return out;
@@ -189,7 +181,6 @@ IdleSweepRun run_idle_sweep(int flows, bool full_walk) {
         static_cast<double>(swept) / flows / window;
     out.ok = true;
   }
-  ::unsetenv("UDTR_FULL_SWEEP");
   return out;
 }
 
@@ -241,7 +232,7 @@ int main(int argc, char** argv) {
   const std::size_t total_bytes =
       scale.full ? (std::size_t{128} << 20) : (std::size_t{32} << 20);
   const std::vector<int> real_flows = {1, 8, 64, 512};
-  // The legacy mode spends two threads (and one UDP port) per socket on
+  // Exclusive-port mode spends two threads (and one UDP port) per socket on
   // each side; 512 flows would need 2048 service threads in this process,
   // so its sweep stops at 64 — which is itself the point of the figure.
   const int exclusive_cap = 64;
@@ -252,6 +243,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %9s %7s %4s %9s %7s %4s\n", "#flows", "", "Mb/s",
               "cpu%", "thr", "Mb/s", "cpu%", "thr");
   std::vector<std::pair<std::string, double>> json;
+  bool all_ok = true;
   for (const int n : real_flows) {
     const RealRun mux = run_real(n, /*exclusive=*/false, total_bytes);
     RealRun excl;
@@ -268,6 +260,7 @@ int main(int argc, char** argv) {
                         mux.threads);
     } else {
       std::printf(" %9s %7s %4s", "FAIL", "-", "-");
+      all_ok = false;
     }
     if (excl.ok) {
       std::printf(" %9.0f %6.0f%% %4d", excl.goodput_mbps, excl.cpu_percent,
@@ -281,11 +274,13 @@ int main(int argc, char** argv) {
     } else {
       std::printf(" %9s %7s %4s", n > exclusive_cap ? "skip" : "FAIL", "-",
                   "-");
+      if (n <= exclusive_cap) all_ok = false;
     }
     std::printf("\n");
   }
-  std::printf("multiplexed flows share 4 service threads total (2 per "
-              "endpoint); exclusive-port spends 4 per connection.\n");
+  std::printf("multiplexed flows share 2 service threads per shard per "
+              "endpoint; exclusive-port spends 4 per connection (a private "
+              "single-shard multiplexer at each end).\n");
 
   // --- shard sweep: the same fleet over 1 / 2 / 4 datapath shards --------
   // Each shard adds an rx/tx thread pair, its own reuseport fd and timer
@@ -313,29 +308,24 @@ int main(int argc, char** argv) {
         json.emplace_back("fig3_shard_threads" + tag, r.threads);
       } else {
         std::printf(" %9s %7s %4s\n", "FAIL", "-", "-");
+        all_ok = false;
       }
     }
   }
 
-  // --- idle timer cost: timing wheel vs the legacy every-socket walk -----
+  // --- idle timer cost: the timing wheel parks silent sockets -----------
   const int idle_flows = scale.full ? 256 : 64;
-  const IdleSweepRun wheel = run_idle_sweep(idle_flows, /*full_walk=*/false);
-  const IdleSweepRun walk = run_idle_sweep(idle_flows, /*full_walk=*/true);
+  const IdleSweepRun wheel = run_idle_sweep(idle_flows);
   std::printf("\nidle timer sweeps (%d silent flows, per socket per "
               "second):\n", idle_flows);
-  if (wheel.ok && walk.ok) {
-    std::printf("%16s %10.1f\n%16s %10.1f   (%.0fx fewer)\n", "timer wheel",
-                wheel.sweeps_per_sock_per_s, "full walk",
-                walk.sweeps_per_sock_per_s,
-                walk.sweeps_per_sock_per_s /
-                    std::max(wheel.sweeps_per_sock_per_s, 1e-9));
+  if (wheel.ok) {
+    std::printf("%16s %10.1f\n", "timer wheel", wheel.sweeps_per_sock_per_s);
     json.emplace_back("fig3_idle_sweeps_per_sock_wheel",
                       wheel.sweeps_per_sock_per_s);
-    json.emplace_back("fig3_idle_sweeps_per_sock_fullwalk",
-                      walk.sweeps_per_sock_per_s);
   } else {
     std::printf("  FAIL\n");
+    all_ok = false;
   }
   udtr::bench::write_json(scale.json_path, json);
-  return 0;
+  return all_ok ? 0 : 1;
 }

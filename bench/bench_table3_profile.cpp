@@ -53,7 +53,7 @@ struct ProfiledRun {
   bool ok = false;
 };
 
-ProfiledRun run_profiled(double seconds, int io_batch, bool zero_copy,
+ProfiledRun run_profiled(double seconds, int io_batch,
                          IoBackend backend = IoBackend::kMmsg) {
   SocketOptions opts;
   opts.enable_profiler = true;
@@ -61,7 +61,6 @@ ProfiledRun run_profiled(double seconds, int io_batch, bool zero_copy,
   // (the "timing" row) are a real cost rather than rounding noise.
   opts.max_bandwidth_mbps = 950.0;
   opts.io_batch = io_batch;
-  opts.zero_copy = zero_copy;
   opts.io_backend = backend;
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
@@ -104,16 +103,14 @@ ProfiledRun run_profiled(double seconds, int io_batch, bool zero_copy,
   const auto rcv_bytes = server->perf().bytes_delivered;
   out.snd_copies_per_byte = snd_bytes > 0 ? snd_copied / snd_bytes : 0.0;
   out.rcv_copies_per_byte = rcv_bytes > 0 ? rcv_copied / rcv_bytes : 0.0;
-  if (client->multiplexer() && server->multiplexer()) {
-    out.snd_syscalls_per_packet =
-        snd_pkts > 0 ? static_cast<double>(
-                           client->multiplexer()->send_syscalls()) / snd_pkts
-                     : 0.0;
-    out.rcv_syscalls_per_packet =
-        rcv_pkts > 0 ? static_cast<double>(
-                           server->multiplexer()->recv_syscalls()) / rcv_pkts
-                     : 0.0;
-  }
+  out.snd_syscalls_per_packet =
+      snd_pkts > 0 ? static_cast<double>(
+                         client->multiplexer()->send_syscalls()) / snd_pkts
+                   : 0.0;
+  out.rcv_syscalls_per_packet =
+      rcv_pkts > 0 ? static_cast<double>(
+                         server->multiplexer()->recv_syscalls()) / rcv_pkts
+                   : 0.0;
   out.snd_report = sp.report();
   out.rcv_report = rp.report();
   out.shards = rp.shards();
@@ -148,19 +145,14 @@ int main(int argc, char** argv) {
   const double seconds = scale.seconds(4, 15);
 
   const bool uring = UdpChannel::uring_supported();
-  const ProfiledRun batched =
-      run_profiled(seconds, /*io_batch=*/16, /*zero_copy=*/true);
-  const ProfiledRun single =
-      run_profiled(seconds, /*io_batch=*/1, /*zero_copy=*/true);
-  const ProfiledRun legacy =
-      run_profiled(seconds, /*io_batch=*/16, /*zero_copy=*/false);
-  // Third datapath column: same zero-copy transfer on the io_uring backend,
+  const ProfiledRun batched = run_profiled(seconds, /*io_batch=*/16);
+  const ProfiledRun single = run_profiled(seconds, /*io_batch=*/1);
+  // Second datapath column: the same transfer on the io_uring backend,
   // where one io_uring_enter submits/reaps many datagrams.
   const ProfiledRun uring_run =
-      uring ? run_profiled(seconds, /*io_batch=*/16, /*zero_copy=*/true,
-                           IoBackend::kUring)
+      uring ? run_profiled(seconds, /*io_batch=*/16, IoBackend::kUring)
             : ProfiledRun{};
-  if (!batched.ok || !single.ok || !legacy.ok || (uring && !uring_run.ok)) {
+  if (!batched.ok || !single.ok || (uring && !uring_run.ok)) {
     std::fprintf(stderr, "connection failed\n");
     return 1;
   }
@@ -205,14 +197,11 @@ int main(int argc, char** argv) {
 
   std::printf("\npayload bytes memcpy'd per data packet (zero-copy "
               "datapath):\n");
-  std::printf("  %-10s %16s %16s %14s %14s\n", "side", "zero-copy B/pkt",
-              "legacy B/pkt", "zc copies/B", "legacy cp/B");
-  std::printf("  %-10s %16.0f %16.0f %14.2f %14.2f\n", "sending",
-              batched.snd_copied_per_packet, legacy.snd_copied_per_packet,
-              batched.snd_copies_per_byte, legacy.snd_copies_per_byte);
-  std::printf("  %-10s %16.0f %16.0f %14.2f %14.2f\n", "receiving",
-              batched.rcv_copied_per_packet, legacy.rcv_copied_per_packet,
-              batched.rcv_copies_per_byte, legacy.rcv_copies_per_byte);
+  std::printf("  %-10s %16s %14s\n", "side", "B/pkt", "copies/B");
+  std::printf("  %-10s %16.0f %14.2f\n", "sending",
+              batched.snd_copied_per_packet, batched.snd_copies_per_byte);
+  std::printf("  %-10s %16.0f %14.2f\n", "receiving",
+              batched.rcv_copied_per_packet, batched.rcv_copies_per_byte);
 
   std::printf("\npaper Table 3 (dual Xeon, 970 Mb/s): sending = UDP writing "
               "66.7%%, timing 4.9%%, packing 5.9%%, ctrl 5.1%%, app 3.5%%; "
@@ -229,13 +218,8 @@ int main(int argc, char** argv) {
       {"recv_amortization_x", rcv_x},
       {"copied_bytes_per_packet_snd_zerocopy", batched.snd_copied_per_packet},
       {"copied_bytes_per_packet_rcv_zerocopy", batched.rcv_copied_per_packet},
-      {"copied_bytes_per_packet_snd_legacy", legacy.snd_copied_per_packet},
-      {"copied_bytes_per_packet_rcv_legacy", legacy.rcv_copied_per_packet},
       {"payload_copies_per_byte_snd_zerocopy", batched.snd_copies_per_byte},
       {"payload_copies_per_byte_rcv_zerocopy", batched.rcv_copies_per_byte},
-      {"payload_copies_per_byte_snd_legacy", legacy.snd_copies_per_byte},
-      {"payload_copies_per_byte_rcv_legacy", legacy.rcv_copies_per_byte},
-      {"rate_mbps_legacy", legacy.rate_mbps},
       {"shards", static_cast<double>(batched.shards)},
       {"uring_supported", uring ? 1.0 : 0.0},
       {"syscalls_per_packet_snd_mmsg", batched.snd_syscalls_per_packet},

@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
 
   SocketOptions opts;
   opts.mss_bytes = mss;
-  opts.loss_injection = loss;
+  if (loss > 0.0) {
+    opts.faults = make_loss_injector(loss, 1, kHeaderBytes + 16);
+  }
   opts.max_bandwidth_mbps = cap_mbps;
 
   auto listener = Socket::listen(0, opts);

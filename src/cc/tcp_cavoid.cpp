@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "cc/tcp_cavoid2.hpp"
-
 namespace udtr::cc {
 
 std::unique_ptr<TcpCongAvoid> make_cong_avoid(const std::string& name) {

@@ -3,7 +3,10 @@
 // The simulator's TCP agent implements connection mechanics (slow start,
 // SACK-based recovery, retransmission timeout) once; the congestion-avoidance
 // increase/decrease rule is pluggable so TCP SACK ("standard TCP" in the
-// paper), Scalable TCP, and HighSpeed TCP share the rest of the machinery.
+// paper), Scalable TCP, HighSpeed TCP, Bic TCP, TCP Vegas and a FAST-style
+// controller share the rest of the machinery.  The loss-only strategies are
+// stateless; Bic keeps its search target, and the delay-aware ones (Vegas,
+// FAST) take per-ACK RTT context through on_ack_ctx.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +16,11 @@
 
 namespace udtr::cc {
 
-struct CaContext;  // defined in tcp_cavoid2.hpp (RTT-aware strategies)
+// Per-ACK context the TCP sender provides to delay-aware strategies.
+struct CaContext {
+  double srtt_s = 0.0;      // smoothed RTT
+  double base_rtt_s = 0.0;  // minimum observed RTT (propagation estimate)
+};
 
 class TcpCongAvoid {
  public:
@@ -105,6 +112,116 @@ class HighSpeedCongAvoid final : public TcpCongAvoid {
   static constexpr double kPLow = 1.5 / (kWLow * kWLow);
   static constexpr double kPHigh = 1e-7;  // ~ 10^-7 at W_high
   static constexpr double kBHigh = 0.1;
+};
+
+// Bic TCP [Xu/Harfoush/Rhee 04]: binary search toward the window where the
+// last loss occurred, additive "max probing" above it.  The paper credits
+// it with fast probing without worsening TCP's RTT bias.
+class BicCongAvoid final : public TcpCongAvoid {
+ public:
+  [[nodiscard]] double on_ack(double cwnd) const override {
+    // Per-ACK growth of inc(cwnd)/cwnd, where inc is the per-RTT step.
+    double inc;
+    if (have_max_ && cwnd < last_max_) {
+      const double dist = (last_max_ - cwnd) / 2.0;  // binary search step
+      inc = std::clamp(dist, kSmin, kSmax);
+    } else {
+      // Max probing: slow-start-like ramp away from the old maximum.
+      inc = std::min(kSmax, 1.0 + (have_max_ ? (cwnd - last_max_) / 16.0
+                                             : 1.0));
+    }
+    return cwnd + inc / std::max(cwnd, 1.0);
+  }
+  [[nodiscard]] double on_loss(double cwnd) const override {
+    // Fast convergence: a loss below the previous maximum means another
+    // flow is competing — concede by lowering the search target.
+    if (have_max_ && cwnd < last_max_) {
+      last_max_ = cwnd * (2.0 - kBeta) / 2.0;
+    } else {
+      last_max_ = cwnd;
+    }
+    have_max_ = true;
+    return std::max(cwnd * (1.0 - kBeta), 2.0);
+  }
+  [[nodiscard]] std::string name() const override { return "bic"; }
+
+ private:
+  static constexpr double kSmin = 0.01;
+  static constexpr double kSmax = 32.0;
+  static constexpr double kBeta = 0.125;
+  mutable double last_max_ = 0.0;  // window at the last loss event
+  mutable bool have_max_ = false;
+};
+
+// TCP Vegas [Brakmo/Peterson 95]: keep alpha..beta packets queued, using
+// delay as the congestion signal (paper §2.2: "use delay instead of loss as
+// the main indication of congestion").
+class VegasCongAvoid final : public TcpCongAvoid {
+ public:
+  explicit VegasCongAvoid(double alpha = 2.0, double beta = 4.0)
+      : alpha_(alpha), beta_(beta) {}
+
+  [[nodiscard]] bool wants_context() const override { return true; }
+
+  [[nodiscard]] double on_ack_ctx(double cwnd,
+                                  const CaContext& ctx) const override {
+    if (ctx.base_rtt_s <= 0.0 || ctx.srtt_s <= 0.0) {
+      return cwnd + 1.0 / std::max(cwnd, 1.0);  // no estimate yet: Reno
+    }
+    // Backlog estimate: packets we keep in the queue.
+    const double diff =
+        cwnd * (1.0 - ctx.base_rtt_s / ctx.srtt_s);
+    if (diff < alpha_) return cwnd + 1.0 / std::max(cwnd, 1.0);
+    if (diff > beta_) return std::max(cwnd - 1.0 / std::max(cwnd, 1.0), 2.0);
+    return cwnd;
+  }
+  [[nodiscard]] double on_ack(double cwnd) const override {
+    return cwnd + 1.0 / std::max(cwnd, 1.0);
+  }
+  [[nodiscard]] double on_loss(double cwnd) const override {
+    return std::max(cwnd / 2.0, 2.0);
+  }
+  [[nodiscard]] std::string name() const override { return "vegas"; }
+
+ private:
+  double alpha_;
+  double beta_;
+};
+
+// FAST-style controller [Jin/Wei/Low 04]: the equation-based window update
+//   w <- min(2w, (1-g) w + g (base/rtt * w + alpha))
+// applied fractionally per ACK.  `alpha` is the manually configured
+// parameter the paper calls FAST's main deficiency (§5.2).
+class FastCongAvoid final : public TcpCongAvoid {
+ public:
+  explicit FastCongAvoid(double alpha_pkts = 200.0, double gamma = 0.5)
+      : alpha_(alpha_pkts), gamma_(gamma) {}
+
+  [[nodiscard]] bool wants_context() const override { return true; }
+
+  [[nodiscard]] double on_ack_ctx(double cwnd,
+                                  const CaContext& ctx) const override {
+    if (ctx.base_rtt_s <= 0.0 || ctx.srtt_s <= 0.0) {
+      return cwnd + 1.0 / std::max(cwnd, 1.0);
+    }
+    const double target =
+        ctx.base_rtt_s / ctx.srtt_s * cwnd + alpha_;
+    const double next = std::min(
+        2.0 * cwnd, (1.0 - gamma_) * cwnd + gamma_ * target);
+    // The update above is the once-per-RTT map; apply 1/cwnd of it per ACK.
+    return std::max(cwnd + (next - cwnd) / std::max(cwnd, 1.0), 2.0);
+  }
+  [[nodiscard]] double on_ack(double cwnd) const override {
+    return cwnd + 1.0 / std::max(cwnd, 1.0);
+  }
+  [[nodiscard]] double on_loss(double cwnd) const override {
+    return std::max(cwnd / 2.0, 2.0);
+  }
+  [[nodiscard]] std::string name() const override { return "fast"; }
+
+ private:
+  double alpha_;
+  double gamma_;
 };
 
 [[nodiscard]] std::unique_ptr<TcpCongAvoid> make_cong_avoid(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cc/tcp_cavoid2.hpp"
+#include "cc/tcp_cavoid.hpp"
 
 namespace udtr::sim {
 

@@ -13,8 +13,8 @@
 // the slot of an arrival is computed from its sequence number, out-of-order
 // data lands directly at its destination offset — the "speculation of next
 // packet" technique costs nothing here beyond the ring addressing.  A slot
-// either owns a copied payload (legacy path) or *references* a RecvSlab slot
-// the datagram was received into, in which case the buffer holds a slab
+// either owns a copied payload (the receive slab ran dry) or *references*
+// the RecvSlab slot the datagram was received into, holding a slab
 // reference until the reader drains it — that is what makes the receive path
 // copy-once.  The buffer also supports *user-buffer insertion* (overlapped
 // IO): a reader may register its own buffer as a logical extension of the

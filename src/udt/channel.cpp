@@ -20,7 +20,7 @@
 #include <vector>
 
 // sendmmsg/recvmmsg appeared in Linux 3.0 / glibc 2.14; everything else
-// takes the portable per-datagram fallback inside send_batch/recv_batch.
+// takes the portable per-datagram fallback inside send_gather/recv_batch.
 #if defined(__linux__)
 #define UDTR_HAVE_MMSG 1
 #else
@@ -268,69 +268,6 @@ std::int64_t UdpChannel::send_to(const Endpoint& dst,
   ++send_calls_;
   return ::sendto(fd_, data.data(), data.size(), 0,
                   reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
-}
-
-std::size_t UdpChannel::send_batch(
-    const Endpoint& dst, std::span<const std::span<const std::uint8_t>> data) {
-  if (data.empty()) return 0;
-  sent_ += data.size();
-  const sockaddr_in sa = dst.to_sockaddr();
-
-  // The wire set defaults to the caller's datagrams; the injector may drop,
-  // mutate or multiply entries (mutations are owned by `mutated` so the
-  // spans stay alive until the syscall).
-  std::vector<std::span<const std::uint8_t>> wire;
-  std::vector<std::vector<std::uint8_t>> mutated;
-  wire.reserve(data.size());
-  if (faults_) {
-    mutated.reserve(data.size());
-    for (const auto& d : data) {
-      faults_->on_send(d, [&](std::span<const std::uint8_t> out) {
-        if (out.data() == d.data() && out.size() == d.size()) {
-          wire.push_back(d);
-        } else {
-          mutated.emplace_back(out.begin(), out.end());
-          wire.emplace_back(mutated.back().data(), mutated.back().size());
-        }
-      });
-    }
-    if (wire.empty()) return data.size();  // all swallowed: "left the host"
-  } else {
-    wire.assign(data.begin(), data.end());
-  }
-
-#if UDTR_HAVE_MMSG
-  std::size_t done = 0;
-  while (done < wire.size()) {
-    constexpr std::size_t kChunk = 64;
-    const std::size_t n = std::min(kChunk, wire.size() - done);
-    std::array<mmsghdr, kChunk> msgs{};
-    std::array<iovec, kChunk> iovs{};
-    for (std::size_t i = 0; i < n; ++i) {
-      iovs[i].iov_base = const_cast<std::uint8_t*>(wire[done + i].data());
-      iovs[i].iov_len = wire[done + i].size();
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&sa);
-      msgs[i].msg_hdr.msg_namelen = sizeof sa;
-    }
-    ++send_calls_;
-    const int sent = ::sendmmsg(fd_, msgs.data(), static_cast<unsigned>(n), 0);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      break;  // e.g. closed mid-send; partial batch already accounted
-    }
-    done += static_cast<std::size_t>(sent);
-    if (static_cast<std::size_t>(sent) < n) continue;  // retry the remainder
-  }
-#else
-  for (const auto& d : wire) {
-    ++send_calls_;
-    ::sendto(fd_, d.data(), d.size(), 0,
-             reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
-  }
-#endif
-  return data.size();
 }
 
 bool UdpChannel::send_gso_run(const sockaddr_in& sa,

@@ -5,7 +5,7 @@
 // truncate / outage, per direction) for tests and experiments.
 //
 // The paper's own profile (Table 3) shows UDP system calls dominating CPU
-// time on both sides, so the channel also offers *batched* I/O: send_batch
+// time on both sides, so the channel also offers *batched* I/O: send_gather
 // and recv_batch move up to N datagrams per sendmmsg/recvmmsg system call
 // (falling back to a sendto/recvfrom loop where the mmsg calls are
 // unavailable).  Fault injection stays per-datagram across a batch — the
@@ -99,15 +99,7 @@ class UdpChannel {
   // Receives one datagram (or one the injector owed us); see RecvResult.
   RecvResult recv_from(Endpoint& src, std::span<std::uint8_t> buf);
 
-  // --- batched I/O (Table 3: amortise the dominant syscall cost) ---------
-  // Sends every datagram to `dst` in as few system calls as possible
-  // (one sendmmsg on Linux; a sendto loop elsewhere).  The fault injector,
-  // when installed, sees each datagram individually, exactly as with
-  // send_to.  Returns the number of datagrams accepted.
-  std::size_t send_batch(const Endpoint& dst,
-                         std::span<const std::span<const std::uint8_t>> data);
-
-  // --- zero-copy scatter-gather send -------------------------------------
+  // --- zero-copy scatter-gather send (Table 3: amortise the syscalls) -----
   // One wire datagram described in place: `head` (the serialized 16-byte
   // header) and `body` (payload, may be empty) are gathered by the kernel
   // from where they already live, so the bytes are never staged into a

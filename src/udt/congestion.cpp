@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "cc/tcp_cavoid.hpp"
-#include "cc/tcp_cavoid2.hpp"
 
 namespace udtr::udt {
 

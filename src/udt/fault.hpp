@@ -11,7 +11,7 @@
 // directions.  Every decision draws from one explicitly seeded engine, so a
 // given (seed, traffic) pair replays the same fault sequence run-to-run.
 // All entry points are thread-safe: the sender and receiver threads share
-// one injector.  Batched channel I/O (UdpChannel::send_batch / recv_batch)
+// one injector.  Batched channel I/O (UdpChannel::send_gather / recv_batch)
 // routes every datagram through these same per-datagram entry points, so a
 // batch is a syscall optimisation, never a unit of loss.
 #pragma once
@@ -138,8 +138,9 @@ class FaultInjector {
       outage_;
 };
 
-// Convenience: the legacy experiment knob — drop a fraction of outbound
-// data-sized datagrams, control traffic untouched.
+// Convenience: a plain lossy path — drop a fraction of outbound data-sized
+// datagrams, control traffic untouched.  Sockets take it as
+// SocketOptions::faults = make_loss_injector(p, seed, kHeaderBytes + 16).
 [[nodiscard]] std::shared_ptr<FaultInjector> make_loss_injector(
     double drop_p, std::uint64_t seed, std::size_t data_min_bytes = 32);
 

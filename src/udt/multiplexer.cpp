@@ -193,13 +193,7 @@ std::shared_ptr<Multiplexer> Multiplexer::find(std::uint16_t port) {
 }
 
 void Multiplexer::start() {
-  std::shared_ptr<FaultInjector> inj;
-  if (cfg_.faults) {
-    inj = cfg_.faults;
-  } else if (cfg_.loss_injection > 0.0) {
-    inj = make_loss_injector(cfg_.loss_injection, cfg_.loss_seed,
-                             kHeaderBytes + 16);
-  }
+  const std::shared_ptr<FaultInjector>& inj = cfg_.faults;
   const auto rcv_timeout = std::chrono::microseconds{
       static_cast<std::int64_t>(cfg_.syn_s * 1e6 / 2)};
   bool any_gro = false;
@@ -239,7 +233,6 @@ void Multiplexer::start() {
   const auto max_batch = static_cast<std::size_t>(io_batch_);
   const std::size_t slot_count =
       gro_ ? max_batch * 4 : std::max<std::size_t>(512, max_batch * 4);
-  legacy_sweep_ = env_flag("UDTR_FULL_SWEEP");
   syn_us_ = std::chrono::microseconds{
       static_cast<std::int64_t>(cfg_.syn_s * 1e6)};
   for (auto& sh : shards_) {
@@ -270,8 +263,6 @@ bool Multiplexer::uring_active() const {
 
 bool Multiplexer::compatible(const SocketOptions& opts) const {
   return opts.faults == cfg_.faults &&
-         opts.loss_injection == cfg_.loss_injection &&
-         (opts.loss_injection == 0.0 || opts.loss_seed == cfg_.loss_seed) &&
          std::clamp(opts.io_batch, 1, 64) == io_batch_ &&
          opts.io_backend == cfg_.io_backend &&
          opts.gso == cfg_.gso && opts.syn_s == cfg_.syn_s &&
@@ -286,7 +277,10 @@ void Multiplexer::attach(Socket* s) {
   s->mux_shard_ = static_cast<std::uint32_t>(sh.index);
   {
     std::unique_lock al{sh.attach_mu};
-    sh.socks[s->socket_id_] = s;
+    if (sh.socks.emplace(s->socket_id_, s).second &&
+        s->opts_.enable_profiler) {
+      sh.profiled.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   arm_timer(s);
 }
@@ -296,8 +290,22 @@ void Multiplexer::attach_child(Socket* s, const HandshakePayload& resp) {
   attach(s);
   std::lock_guard lk{hs_mu_};
   child_resp_[key] = resp;
-  // The request is no longer pending — and any duplicate already sitting in
-  // the queue must not spawn a second socket for the same connection.
+  settle_pending(key);
+}
+
+void Multiplexer::answered_elsewhere(const Endpoint& src,
+                                     std::uint32_t peer_socket_id,
+                                     const HandshakePayload& resp) {
+  // The live-children index is only cleaned by this multiplexer's own
+  // detach(), which a child on another multiplexer never reaches, so its
+  // response goes straight to the bounded memory.
+  const HsKey key{src.ip_host_order, src.port, peer_socket_id};
+  std::lock_guard lk{hs_mu_};
+  answered_.put(key, resp, Clock::now());
+  settle_pending(key);
+}
+
+void Multiplexer::settle_pending(const HsKey& key) {
   if (pending_keys_.erase(key) > 0) {
     admission_->end_pending(std::get<0>(key));
   }
@@ -312,7 +320,9 @@ void Multiplexer::detach(Socket* s) {
   Shard& sh = shard_for(s->socket_id_);
   {
     std::unique_lock al{sh.attach_mu};
-    sh.socks.erase(s->socket_id_);
+    if (sh.socks.erase(s->socket_id_) > 0 && s->opts_.enable_profiler) {
+      sh.profiled.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
   // After the erase no expiry can re-arm the socket (fire_timer's lookup
   // fails), so cancelling here leaves no stale wheel entry behind.
@@ -335,13 +345,12 @@ void Multiplexer::detach(Socket* s) {
       it != child_resp_.end() && it->second.socket_id == s->socket_id_) {
     // The child is gone; demote its response to the age+count bounded
     // memory so a straggling retransmit still gets an answer for a while.
-    remember_answered(key, it->second);
+    answered_.put(key, it->second, Clock::now());
     child_resp_.erase(it);
   }
 }
 
 void Multiplexer::arm_timer(Socket* s) {
-  if (legacy_sweep_) return;  // the full walk covers every socket already
   Shard& sh = shard_for(s->socket_id_);
   const auto now = Clock::now();
   s->wheel_deadline_ns_.store(to_ns(now), std::memory_order_relaxed);
@@ -451,13 +460,6 @@ const std::shared_ptr<RecvSlab>& Multiplexer::slab_for(
 
 // ------------------------------------------------------------ handshake ---
 
-void Multiplexer::remember_answered(const HsKey& key,
-                                    const HandshakePayload& resp) {
-  answered_.put(key, resp, Clock::now());
-}
-
-void Multiplexer::evict_answered() { answered_.sweep(Clock::now()); }
-
 void Multiplexer::handle_handshake(std::span<const std::uint8_t> pkt,
                                    const Endpoint& src) {
   const auto hdr = decode_ctrl_header(pkt);
@@ -555,12 +557,12 @@ void Multiplexer::handle_handshake(std::span<const std::uint8_t> pkt,
 
 // -------------------------------------------------------------- receive ---
 
-void Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
-                           const Endpoint& src, RecvSlab* slab,
-                           int slab_slot) {
+std::uint32_t Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
+                                    const Endpoint& src, RecvSlab* slab,
+                                    int slab_slot) {
   if (pkt.size() < kHeaderBytes) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return 0;
   }
   const std::uint32_t dst = load_be32(pkt.data() + 12);
   if (dst == 0) {
@@ -571,7 +573,7 @@ void Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
     } else {
       unroutable_.fetch_add(1, std::memory_order_relaxed);
     }
-    return;
+    return 0;
   }
   // Route through the owner's index regardless of which rx thread is
   // running: in steered mode this is almost always the calling thread's own
@@ -583,22 +585,22 @@ void Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
   const auto it = owner.socks.find(dst);
   if (it == owner.socks.end()) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return 0;
   }
   Socket* s = it->second;
   s->mux_ingest(pkt, slab, slab_slot);
   // An arrival usually means timer work soon (§4.8: ACK cadence resumes,
   // EXP pushes out) — pull a parked wheel entry in to one SYN from now.
-  if (!legacy_sweep_) tighten_timer(owner, s);
+  tighten_timer(owner, s);
+  return s->opts_.enable_profiler ? dst : 0;
 }
 
 void Multiplexer::rx_loop(Shard& sh) {
   t_rx_shard = &sh;
-  // Same structure as the PR 4 receiver loop — slab-backed slots, one
-  // bounded drain per wakeup, in-place GRO segment walking — but routed
-  // through the channel's backend-neutral rx_round: the mmsg backend arms
-  // slots and calls recvmmsg exactly as this loop used to inline, the uring
-  // backend reaps CQEs off its re-armed recvmsg slot ring.  Either way each
+  // Slab-backed slots, one bounded drain per wakeup, in-place GRO segment
+  // walking, all through the channel's backend-neutral rx_round: the mmsg
+  // backend arms slots and calls recvmmsg, the uring backend reaps CQEs off
+  // its re-armed recvmsg slot ring.  Either way each
   // delivery lands in the sink below, and the post-receive timer check
   // drains this shard's wheel in O(expired) instead of walking every
   // socket.
@@ -608,14 +610,23 @@ void Multiplexer::rx_loop(Shard& sh) {
   rxs.slot_bytes = slot_bytes_;
   struct SinkCtx {
     Multiplexer* mux;
-    Shard* sh;
-  } sctx{this, &sh};
+    // Set while a profiled socket is attached to this shard: the round's
+    // receive call is timed and charged (see below).
+    bool timed = false;
+    Clock::time_point first{};   // the round's first delivery (timed only)
+    std::uint32_t charge_id = 0;  // first profiled socket routed to
+  } sctx{this};
   const UdpChannel::RxSinkFn sink = [](void* c,
                                        const UdpChannel::RxDelivery& d) {
     auto* sc = static_cast<SinkCtx*>(c);
+    if (sc->timed && sc->first == Clock::time_point{}) {
+      sc->first = Clock::now();
+    }
     for_each_datagram(d.data, d.gro_size,
                       [&](std::span<const std::uint8_t> pkt) {
-                        sc->mux->dispatch(pkt, d.src, d.slab, d.slab_slot);
+                        const std::uint32_t id = sc->mux->dispatch(
+                            pkt, d.src, d.slab, d.slab_slot);
+                        if (sc->charge_id == 0) sc->charge_id = id;
                       });
   };
   constexpr auto kSweepGap = std::chrono::milliseconds{1};
@@ -624,30 +635,50 @@ void Multiplexer::rx_loop(Shard& sh) {
   auto last_evict = last_sweep;
 
   while (running_) {
+    // Table 3's receiving "udp-io" row: the span from the round's start to
+    // its first delivery is the receive call itself (its wait for data
+    // included, as a blocking recvfrom's would be), charged to the first
+    // profiled socket the round routed to.  The ingest work the sink does
+    // after that is charged by the socket to its own units.  A shard with
+    // no profiled socket attached reads no clock.
+    sctx.timed = sh.profiled.load(std::memory_order_relaxed) > 0;
+    sctx.first = {};
+    sctx.charge_id = 0;
+    const auto start = sctx.timed ? Clock::now() : Clock::time_point{};
     (void)sh.io->rx_round(rxs, sink, &sctx);
+    if (sctx.timed && sctx.charge_id != 0) {
+      charge_rx_call(sctx.charge_id, sctx.first - start);
+    }
     // §4.8 timer check: only sockets whose wheel entry expired are swept —
-    // an idle fleet parks at EXP cadence and costs nothing per tick.  The
-    // legacy env override keeps the PR 4 every-socket walk measurable.
+    // an idle fleet parks at EXP cadence and costs nothing per tick.
     const auto now = Clock::now();
     if (now - last_sweep >= kSweepGap) {
       last_sweep = now;
       sh.sweep_calls.fetch_add(1, std::memory_order_relaxed);
-      if (legacy_sweep_) {
-        full_sweep(sh);
-      } else {
-        sh.wheel.drain(now, [this, &sh](std::uint64_t key) {
-          fire_timer(sh, key);
-        });
-      }
+      sh.wheel.drain(now, [this, &sh](std::uint64_t key) {
+        fire_timer(sh, key);
+      });
     }
     if (sh.index == 0 && now - last_evict >= kEvictGap) {
       last_evict = now;
       std::lock_guard lk{hs_mu_};
-      evict_answered();
+      answered_.sweep(now);
     }
   }
   // RxState's destructor releases any still-armed slab slots.
   t_rx_shard = nullptr;
+}
+
+void Multiplexer::charge_rx_call(std::uint32_t id,
+                                 std::chrono::nanoseconds spent) {
+  // Same attach-lock rule as dispatch(): the socket is only touched under
+  // its owning shard's shared lock, so a concurrent detach cannot free it.
+  Shard& owner = shard_for(id);
+  std::shared_lock al{owner.attach_mu};
+  const auto it = owner.socks.find(id);
+  if (it == owner.socks.end()) return;
+  it->second->profiler_.add(ProfUnit::kUdpIo,
+                            static_cast<std::uint64_t>(spent.count()));
 }
 
 void Multiplexer::fire_timer(Shard& sh, std::uint64_t key) {
@@ -679,27 +710,6 @@ void Multiplexer::tighten_timer(Shard& owner, Socket* s) {
       owner.wheel.schedule(s->socket_id_, want);
       return;
     }
-  }
-}
-
-void Multiplexer::full_sweep(Shard& sh) {
-  // Legacy O(all-sockets) walk.  The socket list is snapshotted first and
-  // each sweep re-takes the shard lock, so attach/detach are never starved
-  // behind a long walk (the old code held the registry lock across every
-  // socket's sweep).
-  thread_local std::vector<std::uint32_t> ids;
-  ids.clear();
-  {
-    std::shared_lock al{sh.attach_mu};
-    ids.reserve(sh.socks.size());
-    for (const auto& [id, s] : sh.socks) ids.push_back(id);
-  }
-  for (const std::uint32_t id : ids) {
-    std::shared_lock al{sh.attach_mu};
-    const auto it = sh.socks.find(id);
-    if (it == sh.socks.end()) continue;
-    sh.socket_sweeps.fetch_add(1, std::memory_order_relaxed);
-    it->second->sweep_timers();
   }
 }
 

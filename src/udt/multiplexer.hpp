@@ -40,9 +40,9 @@
 // Handshake rendezvous (dst id 0) stays port-global under hs_mu_: the BPF
 // program steers id-0 (and short) datagrams to shard 0, but any shard may
 // legally handle one in fallback mode.  Accepted connections stay on the
-// listener's port, and connect()/listen() route through the process-wide
-// registry exactly as before.  mux_shards = 1 reproduces the PR 4
-// single-pair datapath byte-for-byte.
+// listener's port, and connect() reuses multiplexers through the
+// process-wide registry.  SocketOptions::exclusive_port instead gives each
+// socket a private single-shard multiplexer of its own (socket.hpp).
 #pragma once
 
 #include <atomic>
@@ -153,7 +153,7 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   [[nodiscard]] bool uring_active() const;
 
   // True when a socket with these options can share this multiplexer: same
-  // fault/loss configuration (the injector is per-channel), same batching,
+  // fault injector (it is per-channel), same batching,
   // offload and shard setup, and an MSS that fits the receive slots.
   [[nodiscard]] bool compatible(const SocketOptions& opts) const;
 
@@ -166,6 +166,11 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // Accepted child: additionally remembers (peer ip, port, peer socket id)
   // -> `resp` in the live-children index for duplicate-request re-replies.
   void attach_child(Socket* s, const HandshakePayload& resp);
+  // Listener side of an accept whose child lives on another (private)
+  // multiplexer: settles the pending request from `src` and remembers
+  // `resp` in the bounded answered memory for duplicate-request re-replies.
+  void answered_elsewhere(const Endpoint& src, std::uint32_t peer_socket_id,
+                          const HandshakePayload& resp);
   void detach(Socket* s);
   // (Re)arms the socket's wheel entry to fire immediately — used when a
   // socket enters steady state after attaching (the first sweep computes
@@ -263,9 +268,7 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // SocketOptions::max_tracked_ips no matter how many sources flood).
   [[nodiscard]] std::size_t admission_tracked_ips() const;
   // Timer-wheel work counters summed over shards: drain() calls made by the
-  // rx loops, and entries fired (each fire = one socket sweep).  With the
-  // legacy full-walk env override these count the walk instead, so the
-  // bench comparing O(active) vs O(all) reads the same counters both ways.
+  // rx loops, and entries fired (each fire = one socket sweep).
   [[nodiscard]] std::uint64_t timer_sweep_calls() const;
   [[nodiscard]] std::uint64_t timer_socket_sweeps() const;
   // UDP I/O system calls summed over the port's channels (each owning shard
@@ -332,9 +335,12 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
     std::uint64_t order = 0;
     std::vector<std::uint32_t> due_scratch;
 
-    // Timer accounting for the O(expired)-vs-O(all) acceptance bench.
+    // Timer accounting (fleet and concurrency benches).
     std::atomic<std::uint64_t> sweep_calls{0};
     std::atomic<std::uint64_t> socket_sweeps{0};
+    // Attached sockets with enable_profiler set: while zero the rx loop
+    // reads no clock for the receive-syscall charge (see rx_loop).
+    std::atomic<std::uint32_t> profiled{0};
 
     // Loss-list node arrays recycled across the shard's sockets.
     std::shared_ptr<LossList::NodePool> loss_pool =
@@ -350,28 +356,29 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // Parks the tx thread until `deadline` or a wakeup; the idle handshake
   // with kick()'s lock-free path lives here.
   void tx_park(Shard& sh, Clock::time_point deadline);
-  void dispatch(std::span<const std::uint8_t> pkt, const Endpoint& src,
-                RecvSlab* slab, int slab_slot);
+  // Routes one datagram.  Returns the destination socket's id when that
+  // socket is profiled, else 0.
+  std::uint32_t dispatch(std::span<const std::uint8_t> pkt,
+                         const Endpoint& src, RecvSlab* slab, int slab_slot);
   void handle_handshake(std::span<const std::uint8_t> pkt,
                         const Endpoint& src);
   void serve(Shard& sh, std::uint32_t id);
   // Heartbeat re-kick of every socket the shard owns (see tx_loop).
   void kick_all(Shard& sh);
+  // Adds one receive call of `spent` to the kUdpIo row of socket `id`'s
+  // profiler, if it is still attached.
+  void charge_rx_call(std::uint32_t id, std::chrono::nanoseconds spent);
   // Wheel expiry: sweep one socket's §4.8 timers and re-arm its entry.
   void fire_timer(Shard& sh, std::uint64_t key);
   // Pulls the socket's wheel deadline in to now + SYN after a delivery so a
   // parked (EXP-horizon) socket resumes ACK cadence promptly.
   void tighten_timer(Shard& owner, Socket* s);
-  // Legacy O(all-sockets) walk (UDTR_FULL_SWEEP=1): kept as a safety valve
-  // and as the measurable "PR 4 baseline" for the timer-cost bench.
-  void full_sweep(Shard& sh);
   [[nodiscard]] Shard& shard_for(std::uint32_t socket_id) {
     return *shards_[socket_id % shards_.size()];
   }
-  // Moves a detached child's response into the answered (age+count bounded)
-  // memory; hs_mu_ held.
-  void remember_answered(const HsKey& key, const HandshakePayload& resp);
-  void evict_answered();
+  // accept() answered the request under `key`: it is no longer pending, and
+  // a duplicate still queued must not spawn a second socket.  hs_mu_ held.
+  void settle_pending(const HsKey& key);
 
   // Configuration fingerprint for compatible(); `cfg_` keeps the creating
   // socket's options (faults pointer identity included).
@@ -381,7 +388,6 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   bool gro_ = false;
   bool client_shared_ = false;  // eligible for for_client() reuse
   bool steered_ = false;
-  bool legacy_sweep_ = false;  // UDTR_FULL_SWEEP=1
   std::chrono::microseconds syn_us_{10000};
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
 namespace udtr::udt {
@@ -23,27 +25,17 @@ class Pacer {
 
   Pacer() : next_(Clock::now()) {}
 
-  // Blocks until the scheduled send instant, then advances the schedule by
-  // count * period.  One wait covers `count` back-to-back packets, so the
-  // average rate is exactly the per-packet schedule while the syscall cost
-  // is paid once per batch.  The §3.3 inter-packet spacing becomes
-  // inter-*batch* spacing; callers bound the batch to about 1 ms of the
-  // pacing rate (kBatchHorizon, see batch_credit) so the burst stays well
-  // under kernel buffer scale.  If we are already late, sending proceeds
-  // immediately and advance() decides whether the schedule keeps its grid
-  // or re-anchors at now (never a catch-up burst — that would defeat rate
-  // control, §4.5).
-  void pace(std::chrono::nanoseconds period, int count = 1,
-            bool carry = false) {
-    const auto now = Clock::now();
-    if (next_ > now) wait_until(next_);
-    advance(period * std::max(count, 1), carry, now);
-  }
-
-  // Non-blocking variant for an external scheduler (the multiplexer's send
-  // heap): the caller waited until next_send() itself and has already sent
-  // the `count` packets, so `now` is the post-send instant.  Same advance
-  // rule as pace(); only the wait differs.
+  // Advances the schedule by count * period for a batch of `count`
+  // back-to-back packets the caller (the multiplexer's send heap) already
+  // sent after waiting until next_send(); `now` is the post-send instant.
+  // One wait covers the whole batch, so the average rate is exactly the
+  // per-packet schedule while the syscall cost is paid once per batch.  The
+  // §3.3 inter-packet spacing becomes inter-*batch* spacing; callers bound
+  // the batch to about 1 ms of the pacing rate (kBatchHorizon, see
+  // batch_credit) so the burst stays well under kernel buffer scale.  A
+  // late batch never leads to a catch-up burst — that would defeat rate
+  // control (§4.5); advance() decides whether the schedule keeps its grid
+  // or re-anchors at now.
   void schedule(std::chrono::nanoseconds period, int count, bool carry,
                 Clock::time_point now = Clock::now()) {
     advance(period * std::max(count, 1), carry, now);
@@ -52,7 +44,14 @@ class Pacer {
   // Re-anchors the schedule at `now` (tests inject their own clock here).
   void reset(Clock::time_point now = Clock::now()) { next_ = now; }
   [[nodiscard]] Clock::time_point next_send() const { return next_; }
+  // Batches after which advance() re-anchored instead of keeping the grid.
+  // Written by the sending thread, read by perf() from any thread.
+  [[nodiscard]] std::uint64_t reanchors() const {
+    return reanchors_.load(std::memory_order_relaxed);
+  }
 
+  // Blocks until `t`: sleeps for all but kSpinThreshold, then spins (the
+  // send heap's sub-threshold waits, Multiplexer::tx_loop).
   static void wait_until(Clock::time_point t) {
     auto now = Clock::now();
     if (t - now > kSpinThreshold) {
@@ -80,12 +79,14 @@ class Pacer {
     const auto slack = carry ? total : std::chrono::nanoseconds::zero();
     if (now - next_ > slack) {
       next_ = now + total;
+      reanchors_.fetch_add(1, std::memory_order_relaxed);
     } else {
       next_ += total;
     }
   }
 
   Clock::time_point next_;
+  std::atomic<std::uint64_t> reanchors_{0};
 };
 
 // The span of schedule one send may cover: about 1 ms of the pacing rate,

@@ -1,10 +1,7 @@
 #include "udt/socket.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <limits>
-#include <random>
 #include <thread>
 
 #include "common/thread_name.hpp"
@@ -57,6 +54,14 @@ bool congestion_name_ok(const SocketOptions& o) {
 // analogue, scaled to our SYN clock).
 constexpr std::uint64_t kZwProbeCapUs = 500'000;
 
+// The options a socket opens a multiplexer with.  exclusive_port makes
+// every such multiplexer private and single-shard: the socket owns its port
+// and one rx/tx thread pair, on the same datapath as a shared port.
+SocketOptions mux_options(SocketOptions o) {
+  if (o.exclusive_port) o.mux_shards = 1;
+  return o;
+}
+
 }  // namespace
 
 Socket::Socket(SocketOptions opts)
@@ -105,140 +110,19 @@ std::unique_ptr<Socket> Socket::listen(std::uint16_t port,
   if (!congestion_name_ok(opts)) return nullptr;
   auto s = std::unique_ptr<Socket>(new Socket(opts));
   s->mode_ = Mode::kListener;
-  if (!opts.exclusive_port) {
-    // Shared-port mode: the multiplexer owns the channel and its service
-    // threads; the listener only parks on the handshake queue.  A bind
-    // failure (port in use — by anyone, including another multiplexer in
-    // this process) surfaces as nullptr exactly as before.
-    auto mux = Multiplexer::open(port, opts);
-    if (!mux || !mux->attach_listener(s.get())) return nullptr;
-    s->net_ = &mux->channel();
-    s->mux_ = std::move(mux);
-    return s;
-  }
-  if (!s->channel_.open(port)) return nullptr;
-  // Listeners never start service threads, so the fault injector must be
-  // installed here for handshake traffic to pass through it.
-  if (opts.faults) s->channel_.set_fault_injector(opts.faults);
-  s->channel_.set_recv_timeout(std::chrono::milliseconds{100});
-  // Exclusive-port stateless handshake: this listener owns its keyring (the
-  // multiplexed path uses the port-wide one inside the Multiplexer).
-  if (opts.stateless_handshake) {
-    s->listener_keys_ = std::make_unique<CookieKeyring>();
-  }
+  // The multiplexer owns the channel and its service threads; the listener
+  // only parks on the handshake queue.  A bind failure (port in use — by
+  // anyone, including another multiplexer in this process) surfaces as
+  // nullptr.
+  auto mux = Multiplexer::open(port, mux_options(opts));
+  if (!mux || !mux->attach_listener(s.get())) return nullptr;
+  s->net_ = &mux->channel();
+  s->mux_ = std::move(mux);
   return s;
 }
 
 std::unique_ptr<Socket> Socket::accept(std::chrono::milliseconds timeout) {
   if (mode_ != Mode::kListener) return nullptr;
-  if (mux_) return accept_mux(timeout);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::vector<std::uint8_t> buf(2048);
-  while (std::chrono::steady_clock::now() < deadline) {
-    Endpoint src;
-    const RecvResult r = channel_.recv_from(src, buf);
-    if (r.status != RecvStatus::kDatagram || r.bytes < kHeaderBytes) continue;
-    std::span<const std::uint8_t> pkt{buf.data(), r.bytes};
-    const auto hdr = decode_ctrl_header(pkt);
-    if (!hdr || hdr->type != CtrlType::kHandshake) continue;
-    const auto req_opt = decode_handshake_payload(pkt.subspan(kHeaderBytes));
-    if (!req_opt || req_opt->request_type != kHsRequest) continue;
-    const HandshakePayload req = *req_opt;
-
-    const auto now_clock = std::chrono::steady_clock::now();
-    handled_.sweep(now_clock);
-    // A retransmitted request (our earlier response was lost or is still in
-    // flight) gets the recorded response again instead of a second socket.
-    // Re-replies come before the cookie gate: the recorded response proves
-    // the client already completed the round trip once.
-    const auto key = std::pair{src.ip_host_order,
-                               (std::uint32_t{src.port} << 16) | req.socket_id};
-    if (const HandshakePayload* prev = handled_.find(key); prev != nullptr) {
-      send_handshake_packet(channel_, src, req.socket_id, *prev);
-      continue;
-    }
-
-    if (listener_keys_) {
-      const auto now_sec = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::seconds>(
-              now_clock.time_since_epoch())
-              .count());
-      if (req.cookie == 0) {
-        // First contact: challenge with a signed cookie, keep no state.
-        HandshakePayload challenge = req;
-        challenge.request_type = kHsChallenge;
-        challenge.cookie =
-            listener_keys_->make(now_sec, src.ip_host_order, src.port, req);
-        send_handshake_packet(channel_, src, req.socket_id, challenge);
-        continue;
-      }
-      switch (listener_keys_->verify(now_sec, src.ip_host_order, src.port,
-                                     req, req.cookie)) {
-        case CookieKeyring::Verdict::kValid:
-          break;
-        case CookieKeyring::Verdict::kExpired: {
-          // Authentic but stale: re-challenge so the client self-heals.
-          {
-            std::lock_guard lk{state_mu_};
-            ++stats_.handshake_cookie_rejects;
-          }
-          HandshakePayload challenge = req;
-          challenge.request_type = kHsChallenge;
-          challenge.cookie =
-              listener_keys_->make(now_sec, src.ip_host_order, src.port, req);
-          send_handshake_packet(channel_, src, req.socket_id, challenge);
-          continue;
-        }
-        case CookieKeyring::Verdict::kInvalid: {
-          std::lock_guard lk{state_mu_};
-          ++stats_.handshake_cookie_rejects;
-          continue;
-        }
-      }
-    }
-
-    SocketOptions child_opts = opts_;
-    child_opts.mss_bytes = static_cast<int>(
-        std::min<std::uint32_t>(req.mss_bytes,
-                                static_cast<std::uint32_t>(opts_.mss_bytes)));
-    child_opts.initial_seq = req.initial_seq;
-    // A zero-or-absurd MSS proposal would break buffer math downstream;
-    // such a request is hostile or corrupt, not a client to serve.
-    if (child_opts.mss_bytes <= 0) continue;
-    auto child = std::unique_ptr<Socket>(new Socket(child_opts));
-    if (!child->channel_.open(0)) {
-      // Transient resource failure (fd exhaustion, ephemeral-port pressure)
-      // must not kill the whole accept loop: drop this request — the client
-      // retries its handshake — and keep serving others.
-      continue;
-    }
-    // The child inherits the listener's injector, and it must be live
-    // before the response below leaves — otherwise listener-side fault
-    // configs silently skip the most loss-sensitive datagram of all.
-    if (child_opts.faults) {
-      child->channel_.set_fault_injector(child_opts.faults);
-    }
-    child->peer_ = src;
-    child->peer_socket_id_ = req.socket_id;
-
-    HandshakePayload resp;
-    resp.request_type = kHsResponse;
-    resp.initial_seq = req.initial_seq;
-    resp.mss_bytes = static_cast<std::uint32_t>(child_opts.mss_bytes);
-    resp.socket_id = child->socket_id_;
-    resp.port = child->channel_.local_port();
-    // The response leaves from the child's channel so the client learns the
-    // dedicated endpoint from the datagram's source address (and from the
-    // explicit port field, which duplicate-response handling relies on).
-    send_handshake_packet(child->channel_, src, req.socket_id, resp);
-    handled_.put(key, resp, now_clock);
-    child->start_threads();
-    return child;
-  }
-  return nullptr;
-}
-
-std::unique_ptr<Socket> Socket::accept_mux(std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
     const auto now = std::chrono::steady_clock::now();
@@ -259,14 +143,26 @@ std::unique_ptr<Socket> Socket::accept_mux(std::chrono::milliseconds timeout) {
       mux_->reject_handshake(pending->src, req.socket_id);
       continue;
     }
+    // Shared port: the child stays on the listener's multiplexer, which
+    // routes by the child's socket id.  exclusive_port: the child gets a
+    // fresh private multiplexer — its own port and thread pair.
+    std::shared_ptr<Multiplexer> mux = mux_;
+    if (opts_.exclusive_port) {
+      mux = Multiplexer::open(0, mux_options(child_opts));
+      if (!mux) {
+        // Transient resource failure (fd exhaustion, ephemeral-port
+        // pressure) must not kill the accept loop: drop this request — the
+        // client retries its handshake — and keep serving others.
+        mux_->reject_handshake(pending->src, req.socket_id);
+        continue;
+      }
+    }
     auto child = std::unique_ptr<Socket>(new Socket(child_opts));
-    // The child stays on the listener's port — no dedicated channel, no
-    // service threads; the multiplexer routes by the child's socket id.
-    child->mux_ = mux_;
+    child->mux_ = mux;
     // The child sends through its owning shard's fd (same port — the
     // reuseport group shares it), so its tx traffic never contends with
     // other shards' sockets on one socket buffer.
-    child->net_ = &mux_->channel_for(child->socket_id_);
+    child->net_ = &mux->channel_for(child->socket_id_);
     child->peer_ = pending->src;
     child->peer_socket_id_ = req.socket_id;
 
@@ -275,14 +171,21 @@ std::unique_ptr<Socket> Socket::accept_mux(std::chrono::milliseconds timeout) {
     resp.initial_seq = req.initial_seq;
     resp.mss_bytes = static_cast<std::uint32_t>(child_opts.mss_bytes);
     resp.socket_id = child->socket_id_;
-    resp.port = mux_->local_port();
+    // The client takes its peer port from this field.
+    resp.port = mux->local_port();
     // Order matters: the child must be in steady state before it becomes
     // routable (a datagram arriving mid-setup would be dropped), and
     // routable — with its response recorded for duplicate requests — before
-    // the response leaves.
+    // the response leaves.  Duplicates always reach the listener's port, so
+    // the listener's multiplexer records the response either way.
     child->setup_mux_mode();
-    mux_->attach_child(child.get(), resp);
-    send_handshake_packet(mux_->channel(), pending->src, req.socket_id, resp);
+    if (mux == mux_) {
+      mux_->attach_child(child.get(), resp);
+    } else {
+      mux->attach(child.get());
+      mux_->answered_elsewhere(pending->src, req.socket_id, resp);
+    }
+    send_handshake_packet(mux->channel(), pending->src, req.socket_id, resp);
     return child;
   }
 }
@@ -294,65 +197,10 @@ std::unique_ptr<Socket> Socket::connect(const std::string& host,
   if (!server) return nullptr;
   if (!congestion_name_ok(opts)) return nullptr;
   auto s = std::unique_ptr<Socket>(new Socket(opts));
-  if (!opts.exclusive_port) return connect_mux(std::move(s), *server, opts);
-  if (!s->channel_.open(0)) return nullptr;
-  s->channel_.set_recv_timeout(kHandshakeRetryGap);
-
-  HandshakePayload req;
-  req.request_type = kHsRequest;
-  req.initial_seq = static_cast<std::uint32_t>(s->isn_);
-  req.mss_bytes = static_cast<std::uint32_t>(opts.mss_bytes);
-  req.socket_id = s->socket_id_;
-
-  std::vector<std::uint8_t> buf(2048);
-  for (int attempt = 0; attempt < kHandshakeRetries; ++attempt) {
-    send_handshake_packet(s->channel_, *server, 0, req);
-    Endpoint src;
-    const RecvResult r = s->channel_.recv_from(src, buf);
-    if (r.status != RecvStatus::kDatagram || r.bytes < kHeaderBytes) continue;
-    std::span<const std::uint8_t> pkt{buf.data(), r.bytes};
-    const auto hdr = decode_ctrl_header(pkt);
-    if (!hdr || hdr->type != CtrlType::kHandshake) continue;
-    const auto resp_opt = decode_handshake_payload(pkt.subspan(kHeaderBytes));
-    if (!resp_opt) continue;
-    if (resp_opt->request_type == kHsChallenge) {
-      // Stateless listener: echo its cookie with the same proposal.  The
-      // recv above returned as soon as the challenge landed, so the extra
-      // round trip costs one RTT, not a retry interval.
-      req.cookie = resp_opt->cookie;
-      continue;
-    }
-    if (resp_opt->request_type != kHsResponse) continue;
-    const HandshakePayload resp = *resp_opt;
-    // The negotiated MSS must land in (0, our proposal]: a corrupt or
-    // hostile response advertising 0 (division in buffer math) or more than
-    // we offered (overflows every MSS-sized buffer, distorts pacing) is
-    // rejected, and the retry loop waits for a trustworthy response.
-    if (resp.mss_bytes == 0 ||
-        resp.mss_bytes > static_cast<std::uint32_t>(opts.mss_bytes)) {
-      continue;
-    }
-    // The dedicated endpoint: the advertised port on the server's address
-    // (the response may come from the listener when it was a re-reply).
-    s->peer_ = Endpoint{server->ip_host_order,
-                        static_cast<std::uint16_t>(resp.port)};
-    s->peer_socket_id_ = resp.socket_id;
-    if (static_cast<int>(resp.mss_bytes) != s->opts_.mss_bytes) {
-      // The negotiated MSS is the smaller of the two proposals; rebuild the
-      // (still empty) send buffer so chunks fit the agreed packet size.
-      s->opts_.mss_bytes = static_cast<int>(resp.mss_bytes);
-      s->snd_buffer_ = SndBuffer(s->opts_.mss_bytes, opts.snd_buffer_bytes);
-    }
-    s->start_threads();
-    return s;
-  }
-  return nullptr;
-}
-
-std::unique_ptr<Socket> Socket::connect_mux(std::unique_ptr<Socket> s,
-                                            const Endpoint& server,
-                                            const SocketOptions& opts) {
-  auto mux = Multiplexer::for_client(opts);
+  // Shared mode reuses a compatible client multiplexer; exclusive_port
+  // opens a private one, which for_client() never hands out.
+  auto mux = opts.exclusive_port ? Multiplexer::open(0, mux_options(opts))
+                                 : Multiplexer::for_client(opts);
   if (!mux) return nullptr;
   s->mux_ = mux;
   s->net_ = &mux->channel_for(s->socket_id_);
@@ -368,7 +216,7 @@ std::unique_ptr<Socket> Socket::connect_mux(std::unique_ptr<Socket> s,
   req.socket_id = s->socket_id_;
 
   for (int attempt = 0; attempt < kHandshakeRetries; ++attempt) {
-    send_handshake_packet(mux->channel(), server, 0, req);
+    send_handshake_packet(mux->channel(), *server, 0, req);
     std::unique_lock lk{s->state_mu_};
     s->app_rcv_cv_.wait_for(lk, kHandshakeRetryGap,
                             [&] { return s->hs_resp_.has_value(); });
@@ -381,16 +229,22 @@ std::unique_ptr<Socket> Socket::connect_mux(std::unique_ptr<Socket> s,
       req.cookie = resp.cookie;
       continue;
     }
-    // Same trust boundary as the dedicated-channel path: the negotiated MSS
-    // must land in (0, our proposal].
+    // The negotiated MSS must land in (0, our proposal]: a corrupt or
+    // hostile response advertising 0 (division in buffer math) or more than
+    // we offered (overflows every MSS-sized buffer, distorts pacing) is
+    // rejected, and the retry loop waits for a trustworthy response.
     if (resp.mss_bytes == 0 ||
         resp.mss_bytes > static_cast<std::uint32_t>(opts.mss_bytes)) {
       continue;
     }
-    s->peer_ = Endpoint{server.ip_host_order,
+    // The peer's endpoint: the advertised port on the server's address (an
+    // exclusive-port server answers from a port of its own).
+    s->peer_ = Endpoint{server->ip_host_order,
                         static_cast<std::uint16_t>(resp.port)};
     s->peer_socket_id_ = resp.socket_id;
     if (static_cast<int>(resp.mss_bytes) != s->opts_.mss_bytes) {
+      // The negotiated MSS is the smaller of the two proposals; rebuild the
+      // (still empty) send buffer so chunks fit the agreed packet size.
       s->opts_.mss_bytes = static_cast<int>(resp.mss_bytes);
       s->snd_buffer_ = SndBuffer(s->opts_.mss_bytes, opts.snd_buffer_bytes);
     }
@@ -400,42 +254,6 @@ std::unique_ptr<Socket> Socket::connect_mux(std::unique_ptr<Socket> s,
   }
   mux->detach(s.get());
   return nullptr;
-}
-
-void Socket::start_threads() {
-  channel_.set_recv_timeout(std::chrono::microseconds{
-      static_cast<std::int64_t>(opts_.syn_s * 1e6 / 2)});
-  channel_.set_buffer_sizes(4 << 20, 8 << 20);
-  if (opts_.faults) {
-    channel_.set_fault_injector(opts_.faults);
-  } else if (opts_.loss_injection > 0.0) {
-    channel_.set_fault_injector(make_loss_injector(
-        opts_.loss_injection, opts_.loss_seed, kHeaderBytes + 16));
-  }
-  if (opts_.zero_copy) {
-    // Receive slab: datagrams are parsed in place inside these slots and
-    // RcvBuffer takes slot ownership, so the slots must cover the in-flight
-    // working set, not just one batch.  With GRO each slot holds a whole
-    // coalesced super-datagram (up to 64 KB); without it, one wire packet.
-    // enable_gro() self-guards (off-Linux, UDTR_NO_GSO, fault injector).
-    const auto max_batch =
-        static_cast<std::size_t>(std::clamp(opts_.io_batch, 1, 64));
-    const bool gro = opts_.gso && channel_.enable_gro();
-    const std::size_t slot_bytes =
-        gro ? 65535
-            : static_cast<std::size_t>(opts_.mss_bytes) + kHeaderBytes + 64;
-    const std::size_t slot_count =
-        gro ? max_batch * 4 : std::max<std::size_t>(512, max_batch * 4);
-    rcv_slab_ = std::make_unique<RecvSlab>(slot_bytes, slot_count);
-  }
-  epoch_ = std::chrono::steady_clock::now();
-  last_ctrl_us_ = now_us();
-  state_ = ConnState::kEstablished;
-  running_ = true;
-  snd_thread_ = std::thread([this] { sender_loop(); });
-  rcv_thread_ = std::thread([this] { receiver_loop(); });
-  set_thread_name(snd_thread_, "udt-snd");
-  set_thread_name(rcv_thread_, "udt-rcv");
 }
 
 void Socket::setup_mux_mode() {
@@ -462,22 +280,11 @@ void Socket::prepare_tx_scratch() {
   // splits across two syscalls when the head lands on the batch edge.
   tx_max_batch_ = std::clamp(opts_.io_batch, 1, 64);
   const std::size_t nslots = static_cast<std::size_t>(tx_max_batch_) + 1;
-  if (opts_.zero_copy) {
-    // Zero-copy datapath: serialize only the 16-byte header into a pooled
-    // slot and describe each datagram as (header, chunk) spans the kernel
-    // gathers — the payload is read from the SndBuffer chunk where it
-    // already lives, never staged.
-    tx_headers_.resize(nslots);
-    tx_gather_.reserve(nslots);
-  } else {
-    // Legacy datapath: stage header+payload into wire buffers, exactly the
-    // PR 2 behavior.
-    tx_wires_.assign(nslots,
-                     std::vector<std::uint8_t>(
-                         static_cast<std::size_t>(opts_.mss_bytes) +
-                         kHeaderBytes));
-    tx_batch_.reserve(nslots);
-  }
+  // Only the 16-byte header is serialized, into a pooled slot; each
+  // datagram is a (header, chunk) span pair the kernel gathers — the
+  // payload is read from the SndBuffer chunk where it already lives.
+  tx_headers_.resize(nslots);
+  tx_gather_.reserve(nslots);
 }
 
 double Socket::effective_snd_window() const {
@@ -503,13 +310,10 @@ bool Socket::snd_has_work() const {
 std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
                                   bool& cap_bound) {
   // Lazy scratch: sized on the first batch this socket ever stages, so the
-  // ~100 KB of wire buffers (legacy path) or header slots never exist for
-  // sockets that never send.
+  // header slots never exist for sockets that never send.
   if (tx_max_batch_ == 0) prepare_tx_scratch();
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
-  const bool zero_copy = opts_.zero_copy;
   const std::size_t nslots = static_cast<std::size_t>(tx_max_batch_) + 1;
-  tx_batch_.clear();
   tx_gather_.clear();
   std::int64_t pin_first = -1;
   std::int64_t pin_end = -1;
@@ -549,15 +353,12 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
     }
     return -1;
   };
-  const auto filled = [&] {
-    return zero_copy ? tx_gather_.size() : tx_batch_.size();
-  };
-
   // Loss-list retransmissions keep strict priority within the batch;
   // after an RBPP pair head the successor is forced in back-to-back
   // (even one slot past the credit), preserving the probe semantics.
   bool force_successor = false;
-  while (filled() < nslots && (filled() < credit || force_successor)) {
+  while (tx_gather_.size() < nslots &&
+         (tx_gather_.size() < credit || force_successor)) {
     std::int64_t index = -1;
     bool retransmit = false;
     if (force_successor) {
@@ -578,7 +379,7 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
 
     const auto chunk = snd_buffer_.chunk(index);
     if (!chunk) continue;  // already acknowledged (stale loss entry)
-    if (zero_copy) {
+    {
       ScopedTimer t{prof, ProfUnit::kPacking};
       auto& hdr = tx_headers_[tx_gather_.size()];
       DataHeader h;
@@ -591,24 +392,9 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
       d.head = {hdr.data(), kHeaderBytes};
       d.body = *chunk;
       tx_gather_.push_back(d);
-      if (pin_first < 0 || index < pin_first) pin_first = index;
-      if (index + 1 > pin_end) pin_end = index + 1;
-    } else {
-      auto& wire = tx_wires_[tx_batch_.size()];
-      ScopedTimer t{prof, ProfUnit::kPacking};
-      DataHeader h;
-      h.seq = seq_of(index);
-      h.msg_word = snd_buffer_.msg_word(index);
-      h.timestamp_us = static_cast<std::uint32_t>(now_us());
-      h.dst_socket = peer_socket_id_;
-      write_data_header(wire, h);
-      std::memcpy(wire.data() + kHeaderBytes, chunk->data(),
-                  chunk->size());
-      if (prof != nullptr) {
-        profiler_.add_bytes(ProfUnit::kPacking, chunk->size());
-      }
-      tx_batch_.emplace_back(wire.data(), kHeaderBytes + chunk->size());
     }
+    if (pin_first < 0 || index < pin_first) pin_first = index;
+    if (index + 1 > pin_end) pin_end = index + 1;
     if (!retransmit) {
       snd_next_ = index + 1;
       ++stats_.data_packets_sent;
@@ -616,7 +402,7 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
                         index % opts_.probe_interval == 0;
       // Mark a probe head so the channel never cuts a GSO run (a
       // syscall boundary) between the pair.
-      if (zero_copy && force_successor) {
+      if (force_successor) {
         tx_gather_.back().keep_with_next = true;
       }
     } else {
@@ -626,27 +412,23 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
   // Pin the covered index range before the caller drops the lock: an ACK
   // that lands during the unlocked syscall would otherwise free chunk
   // storage the gather iovecs still reference.
-  if (zero_copy && !tx_gather_.empty()) {
+  if (!tx_gather_.empty()) {
     tx_pin_token_ = snd_buffer_.pin(pin_first, pin_end);
   }
-  return filled();
+  return tx_gather_.size();
 }
 
 bool Socket::send_tx_batch(std::size_t count) {
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
   ScopedTimer t{prof, ProfUnit::kUdpIo};
-  if (opts_.zero_copy) {
-    // uring backend first: the batch leaves as sendmsg SQEs gathered from
-    // the pinned chunks and on_tx_reaped unpins when the last CQE lands.
-    // Refused (mmsg backend, faults, ring momentarily full) -> sync path.
-    if (net_->send_gather_async(peer_, {tx_gather_.data(), count}, opts_.gso,
-                                &Socket::on_tx_reaped, this, tx_pin_token_)) {
-      return true;
-    }
-    net_->send_gather(peer_, {tx_gather_.data(), count}, opts_.gso);
-  } else {
-    net_->send_batch(peer_, {tx_batch_.data(), count});
+  // uring backend first: the batch leaves as sendmsg SQEs gathered from the
+  // pinned chunks and on_tx_reaped unpins when the last CQE lands.  Refused
+  // (mmsg backend, faults, ring momentarily full) -> sync path.
+  if (net_->send_gather_async(peer_, {tx_gather_.data(), count}, opts_.gso,
+                              &Socket::on_tx_reaped, this, tx_pin_token_)) {
+    return true;
   }
+  net_->send_gather(peer_, {tx_gather_.data(), count}, opts_.gso);
   return false;
 }
 
@@ -660,65 +442,9 @@ void Socket::on_tx_reaped(void* ctx, std::uint64_t token) {
   }
 }
 
-void Socket::sender_loop() {
-  Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
-
-  while (running_) {
-    std::chrono::nanoseconds period{0};
-    bool cap_bound = false;
-    std::size_t count = 0;
-    {
-      std::unique_lock lk{state_mu_};
-      if (!snd_cv_.wait_for(lk, std::chrono::milliseconds{10},
-                            [&] { return !running_ || snd_has_work(); })) {
-        continue;
-      }
-      if (!running_) break;
-
-      const double now = now_s();
-      cc_->set_now(now);
-      if (cc_->frozen_at(now)) {
-        // Sleep until the actual freeze deadline (one SYN for the default
-        // controller), capped so close() never waits long on the join.
-        const auto remain = std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(cc_->freeze_deadline_s() - now));
-        lk.unlock();
-        std::this_thread::sleep_for(std::min<
-            std::chrono::steady_clock::duration>(
-            remain, std::chrono::milliseconds{50}));
-        continue;
-      }
-      count = fill_tx_batch(period, cap_bound);
-    }
-    if (count == 0) continue;
-
-    // Pace outside the lock: one wait covers the whole batch and the
-    // schedule advances by batch-size periods, so the average rate is
-    // exactly the per-packet §4.5 schedule.  The §4.4 guard lives inside
-    // Pacer (a late schedule never bursts to catch up).
-    {
-      ScopedTimer t{prof, ProfUnit::kTiming};
-      pacer_.pace(period, static_cast<int>(count), cap_bound);
-    }
-    const bool deferred = send_tx_batch(count);
-    if (opts_.zero_copy && !deferred) {
-      // Syscall done: recycle any storage an ACK parked meanwhile and wake
-      // overlapped senders waiting on pinned_below().  A deferred batch
-      // unpins in on_tx_reaped instead.
-      std::lock_guard lk{state_mu_};
-      if (snd_buffer_.unpin(tx_pin_token_)) {
-        if (snd_release_hook_) snd_release_hook_();
-        app_snd_cv_.notify_all();
-        poke_watchers();
-      }
-    }
-  }
-}
-
 Pacer::Clock::time_point Socket::tx_round() {
-  // One multiplexed sender round: the shared send thread has (nominally)
-  // waited until this socket's pacing deadline.  Fill a credit's worth,
+  // One sender round: the shard's send thread has (nominally) waited until
+  // this socket's pacing deadline.  Fill a credit's worth,
   // push it to the wire, advance the schedule, hand the next deadline back.
   std::chrono::nanoseconds period{0};
   bool cap_bound = false;
@@ -754,14 +480,17 @@ Pacer::Clock::time_point Socket::tx_round() {
     }
   }
   const bool deferred = send_tx_batch(count);
-  // The heap already waited; schedule() applies pace()'s advance rule at
-  // the post-send instant, so a cap-bound batch keeps its grid and a
-  // socket that fell far behind resumes at its rate instead of bursting.
+  // The heap already waited; schedule() applies the advance rule at the
+  // post-send instant, so a cap-bound batch keeps its grid and a socket
+  // that fell far behind resumes at its rate instead of bursting.
   pacer_.schedule(period, static_cast<int>(count), cap_bound);
   bool more;
   {
     std::lock_guard lk{state_mu_};
-    if (opts_.zero_copy && !deferred && snd_buffer_.unpin(tx_pin_token_)) {
+    // Syscall done: recycle any storage an ACK parked meanwhile and wake
+    // overlapped senders waiting on pinned_below().  A deferred batch
+    // unpins in on_tx_reaped instead.
+    if (!deferred && snd_buffer_.unpin(tx_pin_token_)) {
       if (snd_release_hook_) snd_release_hook_();
       app_snd_cv_.notify_all();
       poke_watchers();
@@ -795,16 +524,8 @@ void Socket::mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
   if (is_control(pkt)) {
     handle_ctrl(pkt);
   } else {
-    handle_data(pkt, opts_.zero_copy ? slab : nullptr, slab_slot);
+    handle_data(pkt, slab, slab_slot);
   }
-}
-
-void Socket::sweep_timers() {
-  std::lock_guard lk{state_mu_};
-  if (!running_) return;
-  ScopedTimer t{opts_.enable_profiler ? &profiler_ : nullptr,
-                ProfUnit::kTimerSweep};
-  check_timers();
 }
 
 Pacer::Clock::time_point Socket::sweep_timers_next() {
@@ -857,118 +578,13 @@ std::uint64_t Socket::next_timer_due_us(std::uint64_t now) const {
 }
 
 void Socket::wake_sender() {
-  if (mux_) {
-    // Dirty before kick: if the kick is lost (heap entry consumed by a
-    // racing serve), the heartbeat sweep still sees the flag and re-kicks.
-    tx_dirty_.store(true, std::memory_order_relaxed);
-    mux_->kick(this);
-  } else {
-    snd_cv_.notify_one();
-  }
+  // Dirty before kick: if the kick is lost (heap entry consumed by a racing
+  // serve), the heartbeat sweep still sees the flag and re-kicks.
+  tx_dirty_.store(true, std::memory_order_relaxed);
+  mux_->kick(this);
 }
 
-// -------------------------------------------------------- receiver loop ---
-
-void Socket::receiver_loop() {
-  // A batch of per-datagram buffers: each wakeup blocks for the first
-  // datagram, then drains whatever else the kernel already queued in the
-  // same recvmmsg call (Table 3: per-packet recvfrom is the receiver's
-  // dominant cost).  With the zero-copy slab, each slot is backed by slab
-  // storage whose ownership can move into RcvBuffer (no delivery copy); the
-  // arena is the fallback when the slab runs dry — bounded memory, the old
-  // copying behavior.
-  const int max_batch = std::clamp(opts_.io_batch, 1, 64);
-  // With GRO enabled every receive buffer — arena fallback included — must
-  // hold a full coalesced super-datagram: a short buffer would make the
-  // kernel truncate the burst, silently destroying the packets (often
-  // retransmissions) riding in its tail.
-  const std::size_t dgram_cap =
-      channel_.gro_enabled()
-          ? 65535
-          : static_cast<std::size_t>(opts_.mss_bytes) + kHeaderBytes + 64;
-  std::vector<std::uint8_t> arena(static_cast<std::size_t>(max_batch) *
-                                  dgram_cap);
-  std::vector<UdpChannel::RecvSlot> slots(
-      static_cast<std::size_t>(max_batch));
-  std::vector<int> slab_ids(slots.size(), -1);  // -1 = arena-backed
-  RecvSlab* slab = rcv_slab_.get();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].buf = std::span{arena.data() + i * dgram_cap, dgram_cap};
-  }
-  Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
-
-  while (running_) {
-    if (slab != nullptr) {
-      // (Re)arm every slot that handed its storage off last wakeup.  The
-      // free list is LIFO, so an un-parked slot comes straight back still
-      // cache-warm.
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slab_ids[i] >= 0) continue;
-        const int id = slab->acquire();
-        if (id >= 0) {
-          slab_ids[i] = id;
-          slots[i].buf = std::span{slab->data(id), slab->slot_bytes()};
-        } else {
-          slots[i].buf = std::span{arena.data() + i * dgram_cap, dgram_cap};
-        }
-      }
-    }
-    UdpChannel::RecvBatchResult r;
-    {
-      ScopedTimer t{prof, ProfUnit::kUdpIo};
-      r = channel_.recv_batch(slots);
-    }
-    std::unique_lock lk{state_mu_};
-    for (std::size_t i = 0; i < r.count; ++i) {
-      const UdpChannel::RecvSlot& s = slots[i];
-      RecvSlab* pkt_slab = slab_ids[i] >= 0 ? slab : nullptr;
-      // A GRO buffer carries several wire datagrams on a fixed segment
-      // grid; decode each in place (no copy) and let RcvBuffer take slab
-      // references for the payloads it parks.
-      for_each_datagram(
-          {s.buf.data(), s.bytes}, s.gro_size,
-          [&](std::span<const std::uint8_t> pkt) {
-            if (pkt.size() < kHeaderBytes || !packet_addressed_to_us(pkt)) {
-              ++stats_.invalid_packets;
-            } else if (is_control(pkt)) {
-              handle_ctrl(pkt);
-            } else {
-              handle_data(pkt, pkt_slab, slab_ids[i]);
-            }
-          });
-      if (slab_ids[i] >= 0) {
-        // Drop the receive reference; the slot stays out of the free list
-        // exactly while RcvBuffer still holds payload references into it.
-        slab->release(slab_ids[i]);
-        slab_ids[i] = -1;
-      }
-    }
-    // §4.8: the four low-precision timers are checked after every
-    // time-bounded receive call — the whole drained batch counts as one
-    // call, so timer work is amortised alongside the syscall.
-    check_timers();
-  }
-  // Return still-armed slots to the slab before the thread exits.
-  if (slab != nullptr) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slab_ids[i] >= 0) slab->release(slab_ids[i]);
-    }
-  }
-}
-
-bool Socket::packet_addressed_to_us(
-    std::span<const std::uint8_t> pkt) const {
-  const std::uint32_t dst = load_be32(pkt.data() + 12);
-  if (dst == socket_id_) return true;
-  // Handshakes may legitimately carry dst 0: the peer retransmits its
-  // request until our response (carrying our id) gets through.
-  if (is_control(pkt)) {
-    const auto raw =
-        static_cast<std::uint16_t>((load_be32(pkt.data()) >> 16) & 0x7FFFU);
-    return static_cast<CtrlType>(raw) == CtrlType::kHandshake && dst == 0;
-  }
-  return false;
-}
+// ----------------------------------------------------- receive handlers ---
 
 void Socket::handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                          int slab_slot) {
@@ -1270,25 +886,11 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
       poke_watchers();
       break;
     }
-    case CtrlType::kHandshake: {
-      // Duplicate handshake (our response got lost): re-acknowledge.  A
-      // short or mangled payload is not a request.
-      const auto req = decode_handshake_payload(pkt.subspan(kHeaderBytes));
-      if (!req) {
-        ++stats_.invalid_packets;
-        break;
-      }
-      if (req->request_type == kHsRequest) {
-        HandshakePayload resp;
-        resp.request_type = kHsResponse;
-        resp.initial_seq = req->initial_seq;
-        resp.mss_bytes = static_cast<std::uint32_t>(opts_.mss_bytes);
-        resp.socket_id = socket_id_;
-        resp.port = net_->local_port();
-        send_handshake_packet(*net_, peer_, peer_socket_id_, resp);
-      }
+    case CtrlType::kHandshake:
+      // Requests travel with destination id 0 and the multiplexer answers
+      // them, duplicates included (Multiplexer::handle_handshake); one
+      // addressed to an established socket has nothing left to negotiate.
       break;
-    }
     case CtrlType::kDelayWarn:
       // The peer's receiver (running with delay_warnings) saw a rising
       // one-way-delay trend on our data: an early congestion signal,
@@ -1321,7 +923,7 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
       a = std::max<std::int64_t>(a, 0);
       b = std::min(b, wend - 1);
       ++stats_.msg_drop_ctrl_recv;
-      if (mux_) mux_->note_msg_drop_recv();
+      mux_->note_msg_drop_recv();
       {
         ScopedTimer t{prof, ProfUnit::kLossProcessing};
         rcv_loss_.remove_range(seq_of(a), seq_of(b));
@@ -1474,7 +1076,7 @@ void Socket::sweep_msg_ttl(std::uint64_t now) {
     send_msg_drop(it->msg_no, it->first, it->last);
     snd_dropped_.push_back(*it);
     ++stats_.msgs_dropped_ttl;
-    if (mux_) mux_->note_msgs_dropped_ttl();
+    mux_->note_msgs_dropped_ttl();
     dropped_any = true;
     it = snd_msgs_.erase(it);
   }
@@ -1511,7 +1113,7 @@ void Socket::send_msg_drop(std::uint32_t msg_no, std::int64_t first,
   p.last = seq_of(last);
   encode_msg_drop_payload(std::span{buf}.subspan(kHeaderBytes), p);
   ++stats_.msg_drop_ctrl_sent;
-  if (mux_) mux_->note_msg_drop_sent();
+  mux_->note_msg_drop_sent();
   net_->send_to(peer_, buf);
 }
 
@@ -1519,7 +1121,6 @@ void Socket::declare_broken() {
   state_ = ConnState::kBroken;
   last_error_ = SocketError::kConnectionBroken;
   running_ = false;
-  snd_cv_.notify_all();
   app_snd_cv_.notify_all();
   app_rcv_cv_.notify_all();
   poke_watchers();
@@ -1537,7 +1138,6 @@ void Socket::send_ack() {
   write_ctrl_header(buf, hdr);
 
   const std::int64_t ack_index = rcv_buffer_.contiguous_end();
-  const double mss_wire = opts_.mss_bytes + kHeaderBytes;
   std::array<std::uint32_t, AckPayload::kWords> words{};
   words[0] = static_cast<std::uint32_t>(seq_of(ack_index).value());
   words[1] = static_cast<std::uint32_t>(rtt_s_ * 1e6);
@@ -1558,7 +1158,6 @@ void Socket::send_ack() {
       ack_id, now_us()};
   ++stats_.acks_sent;
   net_->send_to(peer_, buf);
-  (void)mss_wire;
 }
 
 void Socket::send_nak(
@@ -1766,13 +1365,13 @@ std::size_t Socket::sendmsg(std::span<const std::uint8_t> data,
     }
     ++stats_.msgs_sent;
     stats_.bytes_sent += data.size();
-    if (mux_) mux_->note_msgs_sent();
+    mux_->note_msgs_sent();
     wake_sender();
   }
   // A deadline earlier than anything the wheel knows about needs the wheel
   // entry re-armed, or an otherwise-idle socket sweeps too late.  Outside
   // state_mu_: the wheel mutex is a leaf, never taken with ours held.
-  if (tighten && mux_) mux_->arm_timer(this);
+  if (tighten) mux_->arm_timer(this);
   return data.size();
 }
 
@@ -1807,7 +1406,7 @@ std::size_t Socket::recvmsg(std::span<std::uint8_t> out,
         window_update();
         stats_.bytes_delivered += n;
         ++stats_.msgs_delivered;
-        if (mux_) mux_->note_msgs_delivered();
+        mux_->note_msgs_delivered();
         return n;
       }
     }
@@ -1823,116 +1422,6 @@ std::size_t Socket::recvmsg(std::span<std::uint8_t> out,
 
 std::uint64_t Socket::sendfile(const std::string& path, std::uint64_t offset,
                                std::uint64_t length) {
-  return opts_.file_pipeline ? sendfile_pipelined(path, offset, length)
-                             : sendfile_staged(path, offset, length);
-}
-
-std::uint64_t Socket::recvfile(const std::string& path,
-                               std::uint64_t length) {
-  return opts_.file_pipeline ? recvfile_pipelined(path, length)
-                             : recvfile_staged(path, length);
-}
-
-std::uint64_t Socket::sendfile_staged(const std::string& path,
-                                      std::uint64_t offset,
-                                      std::uint64_t length) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    last_error_ = SocketError::kFileIo;
-    return 0;
-  }
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::vector<std::uint8_t> chunk(1 << 20);
-  // Same emulated-disk contract as the pipelined path: reads become
-  // available at the injected disk rate.
-  DiskThrottle disk{opts_.file_disk_read_mbps};
-  std::uint64_t sent = 0;
-  while (sent < length && in && running_) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(chunk.size(), length - sent);
-    in.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(want));
-    const auto got = static_cast<std::uint64_t>(in.gcount());
-    if (got == 0) break;
-    disk.consume(static_cast<std::size_t>(got));
-    const std::size_t n =
-        send(std::span{chunk.data(), static_cast<std::size_t>(got)});
-    sent += n;
-    // send() returning short means the socket closed — or refused stream
-    // bytes outright (message-latched socket returns 0 forever).  Either
-    // way the loop can make no further progress; retrying would spin.
-    if (n < got) break;
-  }
-  // Delivery, not buffering, is the contract: if the flush fails (broken
-  // connection, timeout) the unacknowledged tail still sits in the send
-  // buffer — report only what the peer actually acknowledged.
-  if (!flush(file_deadline_ms())) {
-    std::unique_lock lk{state_mu_};
-    const auto unacked = static_cast<std::uint64_t>(snd_buffer_.bytes());
-    sent -= std::min(sent, unacked);
-  }
-  return sent;
-}
-
-std::uint64_t Socket::recvfile_staged(const std::string& path,
-                                      std::uint64_t length) {
-  // Opened on the first received byte, not up front: a transfer that dies
-  // before any data arrives must not destroy an existing file.
-  std::ofstream out;
-  std::vector<std::uint8_t> chunk(1 << 20);
-  DiskThrottle disk{opts_.file_disk_write_mbps};  // see sendfile_staged
-  std::uint64_t received = 0;
-  bool disk_ok = true;
-  bool timed_out = false;
-  while (received < length && running_) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(chunk.size(), length - received);
-    const std::size_t n =
-        recv(std::span{chunk.data(), static_cast<std::size_t>(want)},
-             file_deadline_ms());
-    if (n == 0) {
-      timed_out = running_ && !peer_shutdown_;
-      break;
-    }
-    if (!out.is_open()) {
-      out.open(path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        disk_ok = false;
-        break;
-      }
-    }
-    out.write(reinterpret_cast<const char*>(chunk.data()),
-              static_cast<std::streamsize>(n));
-    if (!out) {
-      disk_ok = false;
-      break;
-    }
-    disk.consume(n);
-    received += n;
-  }
-  if (length == 0 && !out.is_open()) {
-    // Zero-length request: the legacy contract still creates/empties the
-    // destination — an explicit "make this file empty".
-    out.open(path, std::ios::binary | std::ios::trunc);
-    disk_ok = disk_ok && static_cast<bool>(out);
-  }
-  if (!disk_ok) {
-    last_error_ = SocketError::kFileIo;
-  } else if (received >= length) {
-    last_error_ = SocketError::kNone;
-  } else if (broken()) {
-    // declare_broken already surfaced kConnectionBroken.
-  } else if (timed_out) {
-    last_error_ = SocketError::kRecvTimeout;
-  } else {
-    last_error_ = SocketError::kRecvTruncated;
-  }
-  return received;
-}
-
-std::uint64_t Socket::sendfile_pipelined(const std::string& path,
-                                         std::uint64_t offset,
-                                         std::uint64_t length) {
   {
     std::unique_lock lk{state_mu_};
     if (snd_mode_ == XferMode::kMessage) return 0;  // see send()
@@ -2049,8 +1538,8 @@ std::uint64_t Socket::sendfile_pipelined(const std::string& path,
   return delivered;
 }
 
-std::uint64_t Socket::recvfile_pipelined(const std::string& path,
-                                         std::uint64_t length) {
+std::uint64_t Socket::recvfile(const std::string& path,
+                               std::uint64_t length) {
   FileSink::Config cfg;
   cfg.use_uring = opts_.file_uring;
   cfg.throttle_mbps = opts_.file_disk_write_mbps;
@@ -2165,8 +1654,8 @@ bool Socket::flush(std::chrono::milliseconds timeout) {
 
 void Socket::close() {
   // Serialized end to end: close() racing itself (two app threads, or an
-  // explicit close racing the destructor) must not reach the thread joins
-  // or the multiplexer detach twice.
+  // explicit close racing the destructor) must not reach the multiplexer
+  // detach twice.
   std::lock_guard close_lk{close_mu_};
   // Linger: give in-flight data a bounded chance to be acknowledged while
   // the service threads are still alive; a close right after send() must
@@ -2189,24 +1678,20 @@ void Socket::close() {
       if (i + 1 < kShutdownRepeat) std::this_thread::sleep_for(kShutdownGap);
     }
   }
-  snd_cv_.notify_all();
   app_snd_cv_.notify_all();
   app_rcv_cv_.notify_all();
+  // mux_ is null only when listen() or connect() failed to open one.
   if (mux_) {
-    // Shared-port mode has no per-socket threads; detach() returns only
-    // when no multiplexer service thread still references this socket.
-    // mux_ itself is kept (not reset): it pins the port, the channel and
-    // the shared receive slab for late diagnostics and slab-ref releases.
+    // detach() returns only when no multiplexer service thread still
+    // references this socket.  mux_ itself is kept (not reset): it pins the
+    // port, the channel and the shared receive slab for late diagnostics
+    // and slab-ref releases.
     mux_->detach(this);
     // uring backend: no service thread references us any more, but an async
     // batch with our done-callback may still be in flight — wait for its
     // CQEs so on_tx_reaped never fires into a destroyed socket.  state_mu_
     // is not held here (on_tx_reaped takes it).
-    if (net_ != nullptr) net_->drain_tx(this);
-  } else {
-    if (snd_thread_.joinable()) snd_thread_.join();
-    if (rcv_thread_.joinable()) rcv_thread_.join();
-    channel_.close();
+    net_->drain_tx(this);
   }
   if (state_ != ConnState::kBroken) state_ = ConnState::kClosed;
   poke_watchers();
@@ -2220,9 +1705,9 @@ int Socket::consecutive_exp_timeouts() const {
 PerfStats Socket::perf() const {
   std::unique_lock lk{state_mu_};
   PerfStats p = stats_;
-  if (mode_ == Mode::kListener && mux_) {
-    // Multiplexed listener: the admission/cookie counters live in the
-    // port-global multiplexer state, not in this socket.
+  if (mode_ == Mode::kListener) {
+    // The admission/cookie counters live in the port-global multiplexer
+    // state, not in this socket.
     p.accept_queue_drops = mux_->accept_queue_drops();
     p.handshake_admission_drops = mux_->handshake_admission_drops();
     p.handshake_cookie_rejects =
@@ -2235,6 +1720,7 @@ PerfStats Socket::perf() const {
   p.send_period_us = cc_->pkt_send_period_s() * 1e6;
   p.window_pkts = cc_->window_packets();
   p.peer_window_pkts = peer_ack_seen_ ? peer_avail_pkts_ : 0.0;
+  p.pacer_reanchors = pacer_.reanchors();
   p.cc_name = cc_->name();
   return p;
 }

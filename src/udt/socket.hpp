@@ -13,13 +13,13 @@
 //     once after each wakeup (§4.8), processing both data and control
 //     packets.
 //
-// By default those loops run on a *shared* pair of threads owned by a
-// Multiplexer (multiplexer.hpp): every socket bound to the same UDP port
-// shares one channel, one receive thread and one send thread, so a process
+// Those loops run on threads owned by a Multiplexer (multiplexer.hpp), the
+// one datapath: by default every socket bound to the same UDP port shares
+// one channel and one receive/send thread pair per shard, so a process
 // scales to thousands of connections (§4, Fig. 3).  With
-// SocketOptions::exclusive_port the socket instead owns a dedicated channel
-// and its own two service threads — the pre-multiplexer behavior,
-// byte-for-byte.
+// SocketOptions::exclusive_port the socket instead gets a private
+// single-shard multiplexer — its own port and its own thread pair, the
+// thread-per-socket layout Fig. 3 compares against — running the same code.
 //
 // The API follows socket semantics with the paper's additions: send/recv,
 // sendfile/recvfile, and overlapped receive through user-buffer insertion.
@@ -36,12 +36,10 @@
 #include <functional>
 #include <deque>
 #include <memory>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cc/udt_cc.hpp"
@@ -51,12 +49,10 @@
 #include "common/seqno.hpp"
 #include "udt/buffers.hpp"
 #include "udt/channel.hpp"
-#include "udt/handshake_cookie.hpp"
 #include "udt/loss_list.hpp"
 #include "udt/packet.hpp"
 #include "udt/pacing.hpp"
 #include "udt/profiler.hpp"
-#include "udt/ttl_map.hpp"
 
 namespace udtr::udt {
 
@@ -103,13 +99,10 @@ struct SocketOptions {
   // close(): bounded wait for in-flight data to be acknowledged before the
   // shutdown is sent.
   double linger_s = 1.0;
-  // Outbound data-packet loss injection (emulates a lossy path on loopback).
-  double loss_injection = 0.0;
-  std::uint64_t loss_seed = 1;
-  // Full fault-injection layer for the channel (both directions; drop /
-  // duplicate / reorder / corrupt / truncate / outage).  Takes precedence
-  // over `loss_injection`.  The caller may keep its reference and flip
-  // faults mid-run; see fault.hpp.
+  // Fault-injection layer for the channel (both directions; drop /
+  // duplicate / reorder / corrupt / truncate / outage).  The caller may keep
+  // its reference and flip faults mid-run; see fault.hpp.  A plain lossy
+  // path is make_loss_injector(p, seed, kHeaderBytes + 16).
   std::shared_ptr<FaultInjector> faults;
   // Optional sending-rate cap in Mb/s (0 = uncapped).
   double max_bandwidth_mbps = 0.0;
@@ -122,14 +115,9 @@ struct SocketOptions {
   // true per-packet spacing).  1 = unbatched, the paper's original
   // per-packet behavior; clamped to [1, 64].
   int io_batch = 16;
-  // Zero-copy datapath: the sender hands the kernel (header, payload)
-  // iovecs pointing straight into SndBuffer chunks (no staging buffer,
-  // chunks pinned across the unlocked syscall) and the receiver parses
-  // datagrams in place inside a pooled slab whose slot ownership moves into
-  // RcvBuffer — one payload memcpy per direction in steady state instead of
-  // 2-3.  Off reproduces the previous staging datapath byte-for-byte.
-  bool zero_copy = true;
-  // UDP GSO/GRO offload on top of the zero-copy path: contiguous
+  // UDP GSO/GRO offload on top of the zero-copy datapath (the sender hands
+  // the kernel (header, payload) iovecs pointing into SndBuffer chunks, the
+  // receiver parses datagrams in place in a pooled slab): contiguous
   // equal-size runs leave as one UDP_SEGMENT super-datagram and bursts
   // arrive GRO-coalesced.  Silently degrades to plain sendmmsg/recvmmsg
   // off-Linux, when the kernel refuses the offload, when UDTR_NO_GSO is
@@ -139,12 +127,13 @@ struct SocketOptions {
   // Initial sequence number (< 0 = default).  Exposed so tests can start
   // near the 31-bit wrap boundary.
   std::int64_t initial_seq = -1;
-  // false (default): the socket shares a Multiplexer — one UDP port, one
-  // receive thread and one send thread for every socket with compatible
+  // false (default): the socket shares a Multiplexer — one UDP port and
+  // one rx/tx thread pair per shard for every socket with compatible
   // options, and accepted connections stay on the listener's port.  true:
-  // the socket owns a dedicated UDP channel and two service threads, and
-  // each accepted connection opens its own child channel — the legacy
-  // per-socket datapath, byte-for-byte.
+  // every multiplexer the socket opens is private and single-shard (never
+  // shared through the client registry), so the socket owns its port and
+  // one rx/tx thread pair, and each accepted connection gets a fresh
+  // private multiplexer whose port the handshake response advertises.
   bool exclusive_port = false;
   // Multiplexer datapath shards per UDP port: each shard runs its own
   // rx/tx thread pair, receive slab, send heap and timer wheel on its own
@@ -152,7 +141,7 @@ struct SocketOptions {
   // software demux on one fd where unavailable).  Sockets are assigned
   // shard = socket id % N for life, so a flow never migrates.  0 = auto
   // (min(4, hw_concurrency/2), or the UDTR_MUX_SHARDS env override);
-  // 1 reproduces the single-pair datapath; clamped to [1, 16].  Ignored in
+  // 1 gives one rx/tx pair; clamped to [1, 16].  Forced to 1 in
   // exclusive-port mode.
   int mux_shards = 0;
   // Datapath backend for the multiplexer's shard channels (channel.hpp).
@@ -161,8 +150,7 @@ struct SocketOptions {
   // is today's sendmmsg/recvmmsg path byte-for-byte.  With the uring
   // backend the shard rx thread drains CQEs instead of recvmmsg and data
   // batches go out as sendmsg SQEs whose SndBuffer pins are released when
-  // the completion is reaped, not at syscall return.  Exclusive-port
-  // sockets always use mmsg.
+  // the completion is reaped, not at syscall return.
   IoBackend io_backend = IoBackend::kAuto;
   // Stateless handshake (listener side): answer the first handshake packet
   // of a connection with a signed SYN-style cookie and keep zero state
@@ -172,8 +160,8 @@ struct SocketOptions {
   // with cookie-unaware peers.  Clients handle challenges unconditionally,
   // so this option only matters on the listener.
   bool stateless_handshake = true;
-  // Per-source-IP admission control on the multiplexer handshake path
-  // (ignored in exclusive-port mode): token-bucket rate limit per source,
+  // Per-source-IP admission control on the multiplexer handshake path:
+  // token-bucket rate limit per source,
   // cap on concurrent half-open connections per source, and the bound on
   // the tracking table itself (LRU-evicted, so spoofed sources cannot
   // balloon it).  Defaults are sized for many clients behind one address
@@ -215,9 +203,7 @@ struct SocketOptions {
   // (borrowed into SndBuffer, recycled on ACK-release), and a write-behind
   // thread drains the receive buffer by reference into pwrite()/io_uring
   // WRITE with ftruncate preallocation.  Disk and wire overlap, and steady
-  // state moves payload without copies on either side.  false restores the
-  // synchronous 1 MB staging loops, byte-for-byte.
-  bool file_pipeline = true;
+  // state moves payload without copies on either side.
   // Reader-ring chunk size (rounded up to 64 KB multiples, filled in MSS
   // multiples) and ring depth.  chunk_bytes * ring_chunks bounds both the
   // per-transfer file memory and the unacknowledged borrowed window; the
@@ -225,8 +211,8 @@ struct SocketOptions {
   std::size_t file_chunk_bytes = std::size_t{256} << 10;
   int file_ring_chunks = 16;
   // sendfile: deadline for the tail flush once the last byte is buffered
-  // (previously a hardcoded 60 s).  recvfile (pipelined): longest wait with
-  // no arriving data before the transfer is abandoned as kRecvTimeout.
+  // (previously a hardcoded 60 s).  recvfile: longest wait with no arriving
+  // data before the transfer is abandoned as kRecvTimeout.
   double file_flush_timeout_s = 60.0;
   // File READ/WRITE through a dedicated io_uring when the kernel has one
   // (independent of io_backend, which drives the UDP datapath); quietly
@@ -257,8 +243,7 @@ struct PerfStats {
   std::uint64_t invalid_packets = 0;
   // NAK ranges discarded as inverted or entirely outside the send window.
   std::uint64_t invalid_nak_ranges = 0;
-  // Listener-side admission counters (multiplexed listeners aggregate the
-  // port's counters; exclusive listeners count locally).
+  // Listener-side admission counters (the listener's port-wide counters).
   std::uint64_t accept_queue_drops = 0;        // pending queue overflowed
   std::uint64_t handshake_admission_drops = 0; // per-IP rate/pending limits
   std::uint64_t handshake_cookie_rejects = 0;  // invalid or expired cookies
@@ -287,6 +272,11 @@ struct PerfStats {
   // Receiver-advertised free buffer from the freshest ACK (flow control);
   // 0 while the peer's window is closed.
   double peer_window_pkts = 0.0;
+  // Send batches after which the pacer re-anchored its schedule at the
+  // send instant instead of keeping its grid (Pacer::advance): a batch
+  // later than the carry allows, including the first batch after an idle
+  // spell.
+  std::uint64_t pacer_reanchors = 0;
   std::string cc_name;              // active congestion-control algorithm
 };
 
@@ -353,11 +343,11 @@ class Socket {
   // Streams `length` bytes of `path` starting at `offset`; returns bytes
   // sent AND acknowledged.  Blocks until the data is delivered or the
   // socket dies — a connection that breaks with the tail unacknowledged is
-  // reported as a short count, never as success.  With file_pipeline (the
-  // default) the wire transmits straight out of a ring of file-read chunks
-  // (zero payload copies in steady state); disk errors surface as
-  // last_error() == kFileIo.  Returns 0 on a message-latched socket —
-  // stream bytes cannot be spliced into a message sequence.
+  // reported as a short count, never as success.  The wire transmits
+  // straight out of a ring of file-read chunks (zero payload copies in
+  // steady state); disk errors surface as last_error() == kFileIo.
+  // Returns 0 on a message-latched socket — stream bytes cannot be spliced
+  // into a message sequence.
   std::uint64_t sendfile(const std::string& path, std::uint64_t offset,
                          std::uint64_t length);
   // Receives `length` bytes into `path` and returns bytes written.  The
@@ -367,8 +357,8 @@ class Socket {
   // short.  A short count is never silent: last_error() distinguishes
   // kRecvTimeout (peer went quiet), kRecvTruncated (peer closed early),
   // kConnectionBroken and kFileIo; a clean full-length transfer resets it
-  // to kNone.  With file_pipeline the disk write overlaps reassembly
-  // (write-behind by reference) instead of gating the receive loop.
+  // to kNone.  The disk write overlaps reassembly (write-behind by
+  // reference) instead of gating the receive loop.
   std::uint64_t recvfile(const std::string& path, std::uint64_t length);
 
   // Waits until everything buffered so far is acknowledged.
@@ -392,9 +382,9 @@ class Socket {
   [[nodiscard]] Profiler& profiler() { return profiler_; }
   [[nodiscard]] const CongestionControl& congestion() const { return *cc_; }
 
-  // The multiplexer this socket is attached to; nullptr in exclusive-port
-  // mode.  Exposed for diagnostics (unroutable-datagram counters, thread
-  // accounting in tests and benches).
+  // The multiplexer this socket is attached to (a private single-shard one
+  // in exclusive-port mode).  Exposed for diagnostics (unroutable-datagram
+  // counters, thread accounting in tests and benches).
   [[nodiscard]] std::shared_ptr<Multiplexer> multiplexer() const {
     return mux_;
   }
@@ -413,20 +403,9 @@ class Socket {
 
   enum class Mode { kListener, kConnected };
 
-  void start_threads();
-  void sender_loop();
-  void receiver_loop();
-
-  // --- multiplexed mode ---------------------------------------------------
-  std::unique_ptr<Socket> accept_mux(std::chrono::milliseconds timeout);
-  // Shared-port half of connect(): attach to a compatible client
-  // multiplexer, run the handshake through its receive thread, enter
-  // steady state.
-  static std::unique_ptr<Socket> connect_mux(std::unique_ptr<Socket> s,
-                                             const Endpoint& server,
-                                             const SocketOptions& opts);
-  // Transition into steady state on a multiplexer: size the tx scratch,
-  // adopt the shared receive slab and mark the connection established.
+  // --- datapath (multiplexer service threads) ----------------------------
+  // Transition into steady state on the multiplexer: adopt the shard's
+  // receive slab and loss-list pool and mark the connection established.
   void setup_mux_mode();
   // True while the sender has something it may transmit now (state_mu_
   // held): pending retransmissions, or new data inside the window.
@@ -438,7 +417,7 @@ class Socket {
   [[nodiscard]] double effective_snd_window() const;
   void prepare_tx_scratch();
   // Fills the tx scratch with up to one pacing-credit of packets and pins
-  // the covered range (zero-copy).  state_mu_ held.  Returns the number of
+  // the covered range.  state_mu_ held.  Returns the number of
   // datagrams staged, the pacing period via `period`, and via `cap_bound`
   // whether max_bandwidth_mbps (not the controller) set that period.
   std::size_t fill_tx_batch(std::chrono::nanoseconds& period,
@@ -461,8 +440,6 @@ class Socket {
   // already routed by destination id).  Takes state_mu_.
   void mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                   int slab_slot);
-  // Multiplexer timer sweep: check_timers() under state_mu_.
-  void sweep_timers();
   // Timer-wheel sweep: check_timers() under state_mu_, then return the
   // earliest §4.8 deadline (ACK / NAK / EXP, as applicable) so the
   // multiplexer can re-arm this socket's wheel entry — an idle socket parks
@@ -471,8 +448,7 @@ class Socket {
   // Earliest next timer deadline in epoch-relative microseconds (state_mu_
   // held).
   [[nodiscard]] std::uint64_t next_timer_due_us(std::uint64_t now) const;
-  // Wakes whichever sender services this socket: the dedicated sender
-  // thread (exclusive mode) or the multiplexer's send heap.
+  // Marks the sender dirty and kicks the multiplexer's send heap.
   void wake_sender();
 
   // --- poller plumbing (definitions in poller.cpp) ------------------------
@@ -480,15 +456,12 @@ class Socket {
   void drop_watchers();
 
   // Receiver-thread handlers (state_mu_ held).
-  // First line of defence: every datagram must carry our socket id (or be
-  // a handshake, which may arrive before the peer learns it).
-  [[nodiscard]] bool packet_addressed_to_us(
-      std::span<const std::uint8_t> pkt) const;
   // `slab`/`slab_slot` describe where `pkt` physically lives: when non-null
   // the payload is parked in RcvBuffer by reference (slot ownership moves,
-  // no copy); when null the payload is copied into owned slot storage.
-  void handle_data(std::span<const std::uint8_t> pkt,
-                   RecvSlab* slab = nullptr, int slab_slot = -1);
+  // no copy); when null (the slab ran dry) the payload is copied into owned
+  // slot storage.
+  void handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
+                   int slab_slot);
   void handle_ctrl(std::span<const std::uint8_t> pkt);
   void check_timers();
   // EXP budget exhausted: mark the connection dead and release every
@@ -503,17 +476,7 @@ class Socket {
   void send_msg_drop(std::uint32_t msg_no, std::int64_t first,
                      std::int64_t last);
 
-  // --- file transfer (socket.cpp) ----------------------------------------
-  // Legacy synchronous staging loops (file_pipeline = false), kept
-  // byte-for-byte except the message-latch bailout and error surfacing.
-  std::uint64_t sendfile_staged(const std::string& path, std::uint64_t offset,
-                                std::uint64_t length);
-  std::uint64_t recvfile_staged(const std::string& path, std::uint64_t length);
-  // Pipelined zero-copy paths (file_pipeline.hpp stages).
-  std::uint64_t sendfile_pipelined(const std::string& path,
-                                   std::uint64_t offset, std::uint64_t length);
-  std::uint64_t recvfile_pipelined(const std::string& path,
-                                   std::uint64_t length);
+  // --- file transfer (socket.cpp, file_pipeline.hpp stages) --------------
   [[nodiscard]] std::chrono::milliseconds file_deadline_ms() const {
     return std::chrono::milliseconds{static_cast<std::int64_t>(
         std::max(opts_.file_flush_timeout_s, 0.001) * 1e3)};
@@ -534,17 +497,15 @@ class Socket {
 
   SocketOptions opts_;
   Mode mode_ = Mode::kConnected;
-  UdpChannel channel_;
-  // Shared-port mode: the multiplexer owning the channel this socket
-  // actually uses.  Held for the socket's whole lifetime (not reset on
-  // close) so diagnostics stay valid; `net_` points at the active channel —
-  // the multiplexer's, or `channel_` in exclusive mode.
+  // The multiplexer owning the channel this socket uses.  Held for the
+  // socket's whole lifetime (not reset on close) so diagnostics stay valid;
+  // `net_` points at the owning shard's channel.
   std::shared_ptr<Multiplexer> mux_;
-  UdpChannel* net_ = &channel_;
+  UdpChannel* net_ = nullptr;
   Endpoint peer_{};
   std::uint32_t socket_id_ = 0;
   std::uint32_t peer_socket_id_ = 0;
-  // Multiplexed mode: the shard that owns this socket (socket_id_ % shards,
+  // The shard that owns this socket (socket_id_ % shards,
   // set at attach) and the socket's current timer-wheel deadline in
   // steady_clock nanoseconds — a CAS-min shared between the owning shard's
   // expiry path and cross-thread deadline tightening (Multiplexer::
@@ -558,14 +519,11 @@ class Socket {
   std::atomic<bool> peer_shutdown_{false};
   std::atomic<ConnState> state_{ConnState::kConnecting};
   std::atomic<SocketError> last_error_{SocketError::kNone};
-  std::thread snd_thread_;
-  std::thread rcv_thread_;
   // Serializes close(): two threads closing concurrently (or close racing
-  // the destructor) must not both reach the thread joins.
+  // the destructor) must not both reach the multiplexer detach.
   std::mutex close_mu_;
 
   mutable std::mutex state_mu_;
-  std::condition_variable snd_cv_;      // wakes the sender thread
   std::condition_variable app_snd_cv_;  // buffer space for send()
   std::condition_variable app_rcv_cv_;  // data available for recv()
 
@@ -593,17 +551,14 @@ class Socket {
   std::uint64_t next_zw_probe_us_ = 0;
   std::uint64_t zw_probe_backoff_us_ = 0;  // 0 = probe timer disarmed
 
-  // Staged-transmit scratch, reused every round so the steady state never
-  // allocates.  Owned by whichever thread runs the send path (the dedicated
-  // sender thread, or the multiplexer's send thread) — never both.
-  std::vector<std::vector<std::uint8_t>> tx_wires_;           // legacy staging
-  std::vector<std::span<const std::uint8_t>> tx_batch_;
+  // Transmit scratch, reused every round so the steady state never
+  // allocates.  Owned by the owning shard's send thread.
   std::vector<std::array<std::uint8_t, kHeaderBytes>> tx_headers_;
   std::vector<UdpChannel::TxDatagram> tx_gather_;
   // 0 until the first fill_tx_batch materializes the scratch (lazy: an
   // idle socket never stages a batch, so it never pays for one).
   int tx_max_batch_ = 0;
-  // Pin token of the batch currently staged in tx_gather_ (zero-copy).
+  // Pin token of the batch currently staged in tx_gather_.
   // Written by fill_tx_batch under state_mu_, consumed by the same service
   // thread: either inline (sync send) or via on_tx_reaped (async).
   std::uint64_t tx_pin_token_ = 0;
@@ -612,10 +567,10 @@ class Socket {
   // sweep only re-kicks dirty sockets, so a 100k-socket idle fleet costs
   // one relaxed load per socket per sweep instead of a full service round.
   std::atomic<bool> tx_dirty_{false};
-  // Multiplexed mode: true while a send-heap entry for this socket exists
+  // True while a send-heap entry for this socket exists
   // (at most one).  See Multiplexer::kick / serve for the protocol.
   std::atomic<bool> tx_scheduled_{false};
-  // Multiplexed connect(): handshake response stashed by the receive thread
+  // connect(): handshake response stashed by the receive thread
   // for the connecting thread (guarded by state_mu_, signalled via
   // app_rcv_cv_).
   std::optional<HandshakePayload> hs_resp_;
@@ -647,9 +602,7 @@ class Socket {
 
   // --- receiver state (guarded by state_mu_) -----------------------------
   // Declared before rcv_buffer_: the buffer's destructor releases slab
-  // references, so the slab must be destroyed after it.  mux_slab_ keeps
-  // the multiplexer's shared slab alive for exactly the same reason.
-  std::unique_ptr<RecvSlab> rcv_slab_;
+  // references, so the multiplexer's shared slab must outlive it.
   std::shared_ptr<RecvSlab> mux_slab_;
   RcvBuffer rcv_buffer_;
   LossList rcv_loss_;
@@ -684,21 +637,6 @@ class Socket {
 
   PerfStats stats_;
   Profiler profiler_;
-
-  // Listener-only: responses already issued, keyed by (client ip, client
-  // port | client socket id), so retransmitted requests are re-answered
-  // instead of spawning duplicate sockets.  Bounded FIFO + TTL (the same
-  // BoundedTtlMap the multiplexer's answered_ index uses): a long-lived
-  // listener evicts the oldest entries past kMaxHandledHandshakes rather
-  // than growing without limit (an evicted client's retransmit simply
-  // spawns a fresh socket, which its earlier one out-competes or times out).
-  static constexpr std::size_t kMaxHandledHandshakes = 1024;
-  static constexpr std::chrono::seconds kHandledTtl{30};
-  BoundedTtlMap<std::pair<std::uint32_t, std::uint32_t>, HandshakePayload>
-      handled_{kMaxHandledHandshakes, kHandledTtl};
-  // Exclusive-port listener with stateless_handshake: the cookie keyring
-  // (multiplexed listeners use the port-wide keyring in the Multiplexer).
-  std::unique_ptr<CookieKeyring> listener_keys_;
 
   // --- poller wiring (guarded by the poller registry mutex) ---------------
   std::atomic<bool> watched_{false};

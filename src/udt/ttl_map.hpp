@@ -1,12 +1,10 @@
 // A bounded FIFO+TTL map for duplicate-handshake memory.
 //
-// Both handshake paths need the same shape of state: "remember the response
-// I sent for this (addr, socket) key for a while, so a retransmitted request
-// gets the same answer instead of a second connection" — bounded in count
-// (a flood cannot balloon it) and in time (a recycled client address is not
-// haunted by a stale response forever).  The multiplexer's answered_ index
-// and the legacy listener's handled_ map both used ad-hoc copies of this;
-// they now share one implementation.
+// The multiplexer's answered_ index needs this shape of state: "remember
+// the response I sent for this (addr, socket) key for a while, so a
+// retransmitted request gets the same answer instead of a second
+// connection" — bounded in count (a flood cannot balloon it) and in time (a
+// recycled client address is not haunted by a stale response forever).
 //
 // Eviction is FIFO by insertion order plus a TTL sweep from the FIFO front;
 // find() does not check the TTL (the owner sweeps on its own cadence, which

@@ -92,7 +92,7 @@ std::size_t pump(Socket& client, Socket& server, std::size_t total) {
 }
 
 TEST(AllocSteadyState, ZeroAllocationsPerPacketInSteadyState) {
-  SocketOptions opts;  // defaults: zero_copy and gso on
+  SocketOptions opts;  // defaults: gso on
   // Pace below what loopback absorbs without dropping: the assertion is
   // about the clean steady-state datapath, not the loss-recovery control
   // path (which may legitimately allocate NAK ranges and loss-list nodes).

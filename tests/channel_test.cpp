@@ -212,6 +212,16 @@ std::vector<UdpChannel::RecvSlot> make_slots(std::vector<std::uint8_t>& arena,
   return slots;
 }
 
+// Whole datagrams as gather entries (header span only, no body): the batched
+// send path the datapath uses, with GSO off so distinct sizes go out as
+// plain sendmmsg entries.
+std::vector<UdpChannel::TxDatagram> as_gather(
+    std::span<const std::span<const std::uint8_t>> views) {
+  std::vector<UdpChannel::TxDatagram> out;
+  for (const auto& v : views) out.push_back(UdpChannel::TxDatagram{v, {}});
+  return out;
+}
+
 TEST(UdpChannelBatch, SendRecvBatchRoundTripsByteExactly) {
   UdpChannel a, b;
   ASSERT_TRUE(a.open(0));
@@ -225,7 +235,7 @@ TEST(UdpChannelBatch, SendRecvBatchRoundTripsByteExactly) {
     msgs.emplace_back(std::size_t{20} + i, i);  // distinct sizes and fill
     views.emplace_back(msgs.back().data(), msgs.back().size());
   }
-  EXPECT_EQ(a.send_batch(to, views), 12u);
+  EXPECT_EQ(a.send_gather(to, as_gather(views), /*allow_gso=*/false), 12u);
   const std::uint64_t syscalls = a.send_syscalls();
   EXPECT_GE(syscalls, 1u);
   EXPECT_LE(syscalls, 12u);  // batched: ideally 1 on Linux
@@ -271,7 +281,7 @@ TEST(UdpChannelBatch, RoundTripsByteExactlyWithFaultInjectorActive) {
                                                    0xA0 + i));
     views.emplace_back(msgs.back().data(), msgs.back().size());
   }
-  EXPECT_EQ(a.send_batch(to, views), 10u);
+  EXPECT_EQ(a.send_gather(to, as_gather(views), /*allow_gso=*/false), 10u);
 
   std::vector<std::uint8_t> arena;
   auto slots = make_slots(arena, 16, 256);
@@ -313,8 +323,8 @@ TEST(UdpChannelBatch, InjectorDropsApplyPerDatagramAcrossABatch) {
   const std::array<std::span<const std::uint8_t>, 4> batch{
       std::span<const std::uint8_t>{big}, std::span<const std::uint8_t>{small},
       std::span<const std::uint8_t>{big}, std::span<const std::uint8_t>{small}};
-  // send_batch reports all accepted — from the sender's view they left.
-  EXPECT_EQ(a.send_batch(to, batch), 4u);
+  // send_gather reports all accepted — from the sender's view they left.
+  EXPECT_EQ(a.send_gather(to, as_gather(batch), /*allow_gso=*/false), 4u);
   EXPECT_EQ(inj->stats(FaultDir::kSend).dropped, 2u);
 
   std::vector<std::uint8_t> arena;

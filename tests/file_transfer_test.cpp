@@ -1,7 +1,7 @@
 // Blast-mode file transfer: the pipelined zero-copy disk datapath
 // (FileSource reader ring -> borrowed send buffer; RcvBuffer::take_stream ->
-// FileSink write-behind) against the legacy staged path, byte-exact under
-// combined faults on both datapath backends, the offset/length edge cases,
+// FileSink write-behind), byte-exact under combined faults on both datapath
+// backends, the offset/length edge cases,
 // ring-exhaustion backpressure, write-behind ordering under reorder, and the
 // recvfile error contract (timeout vs truncation vs disk failure).
 #include <gtest/gtest.h>
@@ -148,36 +148,6 @@ TEST(FileTransfer, PipelinedRoundTripExactUnderFaultsUringBackend) {
   p.server->close();
 }
 
-// The legacy staged path must stay selectable and byte-for-byte correct —
-// it is the parity baseline the pipeline is measured against.
-TEST(FileTransfer, LegacyStagedRoundTripExactUnderFaults) {
-  SocketOptions client = faulted_client();
-  client.file_pipeline = false;
-  SocketOptions server;
-  server.file_pipeline = false;
-  Pair p = make_pair_opts(server, client);
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-  const auto payload = make_payload((2 << 20) + 999, 3);
-  EXPECT_EQ(round_trip(p, "legacy_faults", payload), payload);
-  p.client->close();
-  p.server->close();
-}
-
-// Mixed deployment: pipelined sender feeding a staged receiver (and the
-// reverse) — the wire format is identical, only the disk staging differs.
-TEST(FileTransfer, PipelinedSenderStagedReceiverInteroperate) {
-  SocketOptions server;
-  server.file_pipeline = false;
-  Pair p = make_pair_opts(server, {});
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-  const auto payload = make_payload(1 << 20, 4);
-  EXPECT_EQ(round_trip(p, "pipe_to_staged", payload), payload);
-  p.client->close();
-  p.server->close();
-}
-
 // --- offset / length edge cases --------------------------------------------
 
 TEST(FileTransfer, OffsetPastEofSendsNothing) {
@@ -286,26 +256,22 @@ TEST(FileTransfer, WriteBehindKeepsOrderUnderReorderFaults) {
 // --- sendfile on a message-latched socket must not spin --------------------
 
 // Regression: send() returns 0 on a message-latched socket, and the old
-// sendfile loop retried that forever.  Both paths must bail out promptly
+// sendfile loop retried that forever.  sendfile must bail out promptly
 // and report zero bytes delivered.
 TEST(FileTransfer, SendfileOnMessageLatchedSocketBailsOut) {
-  for (const bool pipelined : {true, false}) {
-    SocketOptions client;
-    client.file_pipeline = pipelined;
-    Pair p = make_pair_opts({}, client);
-    ASSERT_NE(p.client, nullptr);
-    const auto msg = make_payload(4096, 11);
-    ASSERT_EQ(p.client->sendmsg(msg), msg.size());  // latches message mode
-    const std::string src = temp_path("latched_src.bin");
-    write_file(src, make_payload(1 << 20, 12));
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(p.client->sendfile(src, 0, 1 << 20), 0u);
-    // Far below the flush deadline — the old bug span here forever.
-    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{5});
-    std::remove(src.c_str());
-    p.client->close();
-    p.server->close();
-  }
+  Pair p = make_pair_opts({}, {});
+  ASSERT_NE(p.client, nullptr);
+  const auto msg = make_payload(4096, 11);
+  ASSERT_EQ(p.client->sendmsg(msg), msg.size());  // latches message mode
+  const std::string src = temp_path("latched_src.bin");
+  write_file(src, make_payload(1 << 20, 12));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(p.client->sendfile(src, 0, 1 << 20), 0u);
+  // Far below the flush deadline — the old bug span here forever.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{5});
+  std::remove(src.c_str());
+  p.client->close();
+  p.server->close();
 }
 
 // --- recvfile error contract ------------------------------------------------
@@ -314,83 +280,74 @@ TEST(FileTransfer, SendfileOnMessageLatchedSocketBailsOut) {
 // pre-existing destination file is untouched (the old path truncated it at
 // open, before knowing whether the transfer would deliver anything).
 TEST(FileTransfer, RecvTimeoutLeavesExistingFileIntact) {
-  for (const bool pipelined : {true, false}) {
-    SocketOptions server;
-    server.file_pipeline = pipelined;
-    server.file_flush_timeout_s = 0.3;  // progress deadline, not 60 s
-    Pair p = make_pair_opts(server, {});
-    ASSERT_NE(p.server, nullptr);
-    const std::string dst = temp_path("timeout_dst.bin");
-    const auto precious = make_payload(8192, 13);
-    write_file(dst, precious);
-    const std::uint64_t got = p.server->recvfile(dst, 1 << 20);
-    EXPECT_EQ(got, 0u);
-    EXPECT_EQ(p.server->last_error(), SocketError::kRecvTimeout);
-    EXPECT_EQ(read_file(dst), precious);  // not clobbered
-    std::remove(dst.c_str());
-    p.client->close();
-    p.server->close();
-  }
+  SocketOptions server;
+  server.file_flush_timeout_s = 0.3;  // progress deadline, not 60 s
+  Pair p = make_pair_opts(server, {});
+  ASSERT_NE(p.server, nullptr);
+  const std::string dst = temp_path("timeout_dst.bin");
+  const auto precious = make_payload(8192, 13);
+  write_file(dst, precious);
+  const std::uint64_t got = p.server->recvfile(dst, 1 << 20);
+  EXPECT_EQ(got, 0u);
+  EXPECT_EQ(p.server->last_error(), SocketError::kRecvTimeout);
+  EXPECT_EQ(read_file(dst), precious);  // not clobbered
+  std::remove(dst.c_str());
+  p.client->close();
+  p.server->close();
 }
 
 // The peer delivers part of the file and then closes: recvfile returns the
 // bytes that landed and reports kRecvTruncated — distinguishable from both
 // a clean completion and a silent timeout.
 TEST(FileTransfer, PeerCloseMidTransferReportsTruncation) {
-  for (const bool pipelined : {true, false}) {
-    SocketOptions server;
-    server.file_pipeline = pipelined;
-    server.file_flush_timeout_s = 5.0;
-    Pair p = make_pair_opts(server, {});
-    ASSERT_NE(p.client, nullptr);
-    const auto half = make_payload(1 << 20, 14);
-    const std::string src = temp_path("trunc_src.bin");
-    const std::string dst = temp_path("trunc_dst.bin");
-    write_file(src, half);
-    std::remove(dst.c_str());
-    auto sender = std::async(std::launch::async, [&] {
-      const auto n = p.client->sendfile(src, 0, half.size());
-      p.client->close();  // graceful shutdown: only half of what was asked
-      return n;
-    });
-    const std::uint64_t got = p.server->recvfile(dst, 2 << 20);
-    EXPECT_EQ(sender.get(), half.size());
-    EXPECT_EQ(got, half.size());
-    EXPECT_EQ(p.server->last_error(), SocketError::kRecvTruncated);
-    const auto landed = read_file(dst);
-    ASSERT_EQ(landed.size(), half.size());  // preallocation trimmed back
-    EXPECT_EQ(landed, half);
-    std::remove(src.c_str());
-    std::remove(dst.c_str());
-    p.server->close();
-  }
+  SocketOptions server;
+  server.file_flush_timeout_s = 5.0;
+  Pair p = make_pair_opts(server, {});
+  ASSERT_NE(p.client, nullptr);
+  const auto half = make_payload(1 << 20, 14);
+  const std::string src = temp_path("trunc_src.bin");
+  const std::string dst = temp_path("trunc_dst.bin");
+  write_file(src, half);
+  std::remove(dst.c_str());
+  auto sender = std::async(std::launch::async, [&] {
+    const auto n = p.client->sendfile(src, 0, half.size());
+    p.client->close();  // graceful shutdown: only half of what was asked
+    return n;
+  });
+  const std::uint64_t got = p.server->recvfile(dst, 2 << 20);
+  EXPECT_EQ(sender.get(), half.size());
+  EXPECT_EQ(got, half.size());
+  EXPECT_EQ(p.server->last_error(), SocketError::kRecvTruncated);
+  const auto landed = read_file(dst);
+  ASSERT_EQ(landed.size(), half.size());  // preallocation trimmed back
+  EXPECT_EQ(landed, half);
+  std::remove(src.c_str());
+  std::remove(dst.c_str());
+  p.server->close();
 }
 
 // Unwritable destination surfaces kFileIo instead of silently dropping the
 // payload (pipelined path: the lazy open fails on the first write-behind
 // batch; the transfer stops instead of draining the peer into a black hole).
 TEST(FileTransfer, UnwritableDestinationReportsFileIo) {
-  for (const bool pipelined : {true, false}) {
-    SocketOptions server;
-    server.file_pipeline = pipelined;
-    server.file_flush_timeout_s = 5.0;
-    Pair p = make_pair_opts(server, {});
-    ASSERT_NE(p.client, nullptr);
-    const auto payload = make_payload(256 << 10, 15);
-    const std::string src = temp_path("nodir_src.bin");
-    write_file(src, payload);
-    auto sender = std::async(std::launch::async, [&] {
-      return p.client->sendfile(src, 0, payload.size());
-    });
-    const std::string dst =
-        ::testing::TempDir() + "udtr_ft_no_such_dir/x/y/dst.bin";
-    p.server->recvfile(dst, payload.size());
-    EXPECT_EQ(p.server->last_error(), SocketError::kFileIo);
-    sender.wait();
-    std::remove(src.c_str());
-    p.client->close();
-    p.server->close();
-  }
+  SocketOptions server;
+  server.file_flush_timeout_s = 5.0;
+  Pair p = make_pair_opts(server, {});
+  ASSERT_NE(p.client, nullptr);
+  const auto payload = make_payload(256 << 10, 15);
+  const std::string src = temp_path("nodir_src.bin");
+  write_file(src, payload);
+  auto sender = std::async(std::launch::async, [&] {
+    return p.client->sendfile(src, 0, payload.size());
+  });
+  const std::string dst =
+      ::testing::TempDir() + "udtr_ft_no_such_dir/x/y/dst.bin";
+  p.server->recvfile(dst, payload.size());
+  EXPECT_EQ(p.server->last_error(), SocketError::kFileIo);
+  sender.wait();
+  std::remove(src.c_str());
+  p.client->close();
+  p.server->close();
 }
 
 }  // namespace

@@ -339,12 +339,6 @@ TEST(MessageMode, ReliableRoundTripUnderFaultsGsoOff) {
   run_faulted_roundtrip(opts, 80);
 }
 
-TEST(MessageMode, ReliableRoundTripUnderFaultsLegacyCopyPath) {
-  SocketOptions opts;
-  opts.zero_copy = false;
-  run_faulted_roundtrip(opts, 80);
-}
-
 TEST(MessageMode, ReliableRoundTripUnderFaultsUringBackend) {
   SKIP_WITHOUT_URING();
   SocketOptions opts;

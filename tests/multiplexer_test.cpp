@@ -1,6 +1,7 @@
 // Connection multiplexing: many UDT sockets sharing one UDP port and one
 // pair of service threads, the send heap's fairness under mixed pacing
-// rates, the Poller readiness surface, and the exclusive-port legacy mode.
+// rates, the Poller readiness surface, and exclusive-port sockets on
+// private single-shard multiplexers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -492,25 +493,47 @@ TEST(Multiplexer, PollerReportsErrWhenPeerGoesDark) {
   EXPECT_EQ(p.client->last_error(), SocketError::kConnectionBroken);
 }
 
-// --- exclusive-port legacy mode --------------------------------------------
+// --- exclusive-port mode: a private single-shard multiplexer --------------
 
-TEST(Multiplexer, ExclusivePortReproducesLegacyDatapath) {
+TEST(Multiplexer, ExclusivePortRunsOnAPrivateMultiplexer) {
   SocketOptions opts;
   opts.exclusive_port = true;
   MuxPair p = make_pair_opts(opts, opts);
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);
 
-  // No multiplexer anywhere, and the accepted child owns its own port.
-  EXPECT_EQ(p.listener->multiplexer(), nullptr);
-  EXPECT_EQ(p.client->multiplexer(), nullptr);
-  EXPECT_EQ(p.server->multiplexer(), nullptr);
+  // Every socket runs on a multiplexer of its own with one rx/tx pair, and
+  // the accepted child owns a port of its own, distinct from the listener's.
+  const auto lmux = p.listener->multiplexer();
+  const auto cmux = p.client->multiplexer();
+  const auto smux = p.server->multiplexer();
+  ASSERT_NE(lmux, nullptr);
+  ASSERT_NE(cmux, nullptr);
+  ASSERT_NE(smux, nullptr);
+  EXPECT_EQ(cmux->shards(), 1u);
+  EXPECT_EQ(smux->shards(), 1u);
+  EXPECT_NE(smux, lmux);
+  EXPECT_NE(cmux, smux);
   EXPECT_NE(p.server->local_port(), p.listener->local_port());
+  EXPECT_EQ(smux->attached_sockets(), 1u);
+  EXPECT_EQ(cmux->attached_sockets(), 1u);
 
   const auto payload = make_payload(512 << 10, 5);
   EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
   const auto back = make_payload(128 << 10, 6);
   EXPECT_EQ(pump(*p.server, *p.client, back), back);
+
+  // A second exclusive client never shares the first one's multiplexer.
+  auto accepted = std::async(std::launch::async, [&] {
+    return p.listener->accept(std::chrono::seconds{10});
+  });
+  auto c2 = Socket::connect("127.0.0.1", p.listener->local_port(), opts);
+  ASSERT_NE(c2, nullptr);
+  auto s2 = accepted.get();
+  ASSERT_NE(s2, nullptr);
+  EXPECT_NE(c2->multiplexer(), cmux);
+  EXPECT_NE(s2->multiplexer(), smux);
+  EXPECT_NE(s2->local_port(), p.server->local_port());
 }
 
 TEST(Multiplexer, MixedModesInteroperate) {
@@ -518,26 +541,52 @@ TEST(Multiplexer, MixedModesInteroperate) {
   exclusive.exclusive_port = true;
 
   {
-    // Legacy server, multiplexed client.
+    // Exclusive server, shared client.
     MuxPair p = make_pair_opts(exclusive, SocketOptions{});
     ASSERT_NE(p.client, nullptr);
     ASSERT_NE(p.server, nullptr);
-    EXPECT_EQ(p.server->multiplexer(), nullptr);
+    ASSERT_NE(p.server->multiplexer(), nullptr);
+    EXPECT_NE(p.server->multiplexer(), p.listener->multiplexer());
+    EXPECT_EQ(p.server->multiplexer()->shards(), 1u);
+    EXPECT_NE(p.server->local_port(), p.listener->local_port());
     EXPECT_NE(p.client->multiplexer(), nullptr);
     const auto payload = make_payload(256 << 10, 11);
     EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
   }
   {
-    // Multiplexed server, legacy client.
+    // Shared server, exclusive client.
     MuxPair p = make_pair_opts(SocketOptions{}, exclusive);
     ASSERT_NE(p.client, nullptr);
     ASSERT_NE(p.server, nullptr);
-    EXPECT_NE(p.server->multiplexer(), nullptr);
-    EXPECT_EQ(p.client->multiplexer(), nullptr);
+    EXPECT_EQ(p.server->multiplexer(), p.listener->multiplexer());
+    ASSERT_NE(p.client->multiplexer(), nullptr);
+    EXPECT_EQ(p.client->multiplexer()->shards(), 1u);
     EXPECT_EQ(p.server->local_port(), p.listener->local_port());
     const auto payload = make_payload(256 << 10, 12);
     EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
   }
+}
+
+// --- profiler: the receive thread's syscalls --------------------------------
+
+// The shard rx thread charges each receive call that delivered data to the
+// kUdpIo row of a profiled socket it routed to (Table 3's receiving
+// "udp-io" row).  On the mmsg backend every such round is at least one
+// recvmmsg, so the charged calls are bounded by the port's receive syscalls.
+TEST(Multiplexer, ReceiveCallsAreChargedToTheProfiler) {
+  SocketOptions opts;
+  opts.enable_profiler = true;
+  opts.io_backend = IoBackend::kMmsg;
+  MuxPair p = make_pair_opts(opts, opts);
+  ASSERT_NE(p.client, nullptr);
+  ASSERT_NE(p.server, nullptr);
+  const auto payload = make_payload(1 << 20, 21);
+  EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
+
+  const std::uint64_t calls = p.server->profiler().calls(ProfUnit::kUdpIo);
+  EXPECT_GT(calls, 0u);
+  EXPECT_LE(calls, p.server->multiplexer()->recv_syscalls());
+  EXPECT_GT(p.server->profiler().nanos(ProfUnit::kUdpIo), 0u);
 }
 
 // --- duplicate-handshake memory --------------------------------------------
@@ -672,11 +721,8 @@ TEST(Multiplexer, FallbackSoftwareDemuxStaysByteExact) {
 
 // The O(active) property itself: an idle fleet parks at EXP cadence on the
 // timer wheel, so the per-socket sweep count over a fixed window stays far
-// below the one-sweep-per-millisecond of the legacy full walk.
+// below the one sweep per millisecond a walk of every socket would cost.
 TEST(Multiplexer, IdleFleetParksTimersOnTheWheel) {
-  if (std::getenv("UDTR_FULL_SWEEP") != nullptr) {
-    GTEST_SKIP() << "legacy full-sweep mode forced by environment";
-  }
   const int n = env_sockets(64);
   SocketOptions opts = small_opts();
   opts.syn_s = 0.015;

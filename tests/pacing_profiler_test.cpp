@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 
 #include "udt/pacing.hpp"
 #include "udt/profiler.hpp"
@@ -10,11 +11,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The send heap's pacing loop for one socket: wait for the deadline, send
+// (instantly here), then advance the schedule at the post-send instant.
+void send_paced(Pacer& pacer, std::chrono::nanoseconds period, int count = 1) {
+  Pacer::wait_until(pacer.next_send());
+  pacer.schedule(period, count, /*carry=*/false);
+}
+
 TEST(Pacer, SpacesSendsByPeriod) {
   Pacer pacer;
   const auto period = std::chrono::microseconds{200};
   const auto t0 = Clock::now();
-  for (int i = 0; i < 50; ++i) pacer.pace(period);
+  for (int i = 0; i < 50; ++i) send_paced(pacer, period);
   const auto elapsed = Clock::now() - t0;
   // 50 sends at 200 us spacing ~ 9.8 ms minimum (the first is immediate).
   EXPECT_GE(elapsed, std::chrono::microseconds{49 * 200 - 500});
@@ -25,7 +33,9 @@ TEST(Pacer, MicrosecondPrecisionViaSpin) {
   // over 100 packets takes ~3 ms, not ~0 (busy-wait precision, §4.5).
   Pacer pacer;
   const auto t0 = Clock::now();
-  for (int i = 0; i < 100; ++i) pacer.pace(std::chrono::microseconds{30});
+  for (int i = 0; i < 100; ++i) {
+    send_paced(pacer, std::chrono::microseconds{30});
+  }
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       Clock::now() - t0)
                       .count();
@@ -34,49 +44,63 @@ TEST(Pacer, MicrosecondPrecisionViaSpin) {
 
 TEST(Pacer, LateScheduleReanchorsInsteadOfBursting) {
   // If the sender falls behind (e.g. a long syscall), the pacer must not
-  // emit a catch-up burst (§4.4): the next send goes out immediately, and
-  // the schedule restarts from now.
+  // emit a catch-up burst (§4.4): the late batch goes out at once and the
+  // schedule restarts from then.  Injected clock: every value is exact.
+  using us = std::chrono::microseconds;
   Pacer pacer;
-  pacer.pace(std::chrono::microseconds{100});
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
   const auto t0 = Clock::now();
-  pacer.pace(std::chrono::microseconds{100});  // late: immediate, re-anchors
-  EXPECT_LT(Clock::now() - t0, std::chrono::microseconds{500});
-  const auto t1 = Clock::now();
-  pacer.pace(std::chrono::microseconds{300});  // waits out the re-anchor
-  pacer.pace(std::chrono::microseconds{300});  // plus a full period
-  EXPECT_GE(Clock::now() - t1, std::chrono::microseconds{350});
+  pacer.reset(t0);
+  pacer.schedule(us{100}, 1, /*carry=*/false, t0);
+  EXPECT_EQ(pacer.next_send(), t0 + us{100});
+  const auto late = t0 + us{5000};
+  pacer.schedule(us{100}, 1, /*carry=*/false, late);
+  EXPECT_EQ(pacer.next_send(), late + us{100});  // not t0 + 200 us
+  pacer.schedule(us{300}, 1, /*carry=*/false, late + us{100});
+  EXPECT_EQ(pacer.next_send(), late + us{400});  // plus a full period
+  EXPECT_EQ(pacer.reanchors(), 1u);
 }
 
 TEST(Pacer, BatchedPaceAdvancesScheduleByCountPeriods) {
-  // pace(period, n) must consume exactly n periods of schedule: 10 batches
-  // of 5 at 100 us spacing take the same wall time as 50 singles.
-  Pacer pacer;
+  // A batch of n must consume exactly n periods of schedule: 10 on-time
+  // batches of 5 at 100 us end where 50 singles would.
+  using us = std::chrono::microseconds;
+  Pacer batched;
+  Pacer singles;
   const auto t0 = Clock::now();
-  for (int i = 0; i < 10; ++i) pacer.pace(std::chrono::microseconds{100}, 5);
-  const auto elapsed = Clock::now() - t0;
-  EXPECT_GE(elapsed, std::chrono::microseconds{9 * 500 - 200});
+  batched.reset(t0);
+  singles.reset(t0);
+  for (int i = 0; i < 10; ++i) {
+    batched.schedule(us{100}, 5, /*carry=*/false, batched.next_send());
+  }
+  for (int i = 0; i < 50; ++i) {
+    singles.schedule(us{100}, 1, /*carry=*/false, singles.next_send());
+  }
+  EXPECT_EQ(batched.next_send(), t0 + us{5000});
+  EXPECT_EQ(singles.next_send(), batched.next_send());
+  EXPECT_EQ(batched.reanchors(), 0u);
 }
 
 TEST(Pacer, ScheduleKeepsGridOrReanchors) {
   // The advance rule through schedule() with an injected clock: no sleeps,
   // so every expectation is exact.  A batch of 4 at 10 us spans 40 us.
   // Cap-bound batches (carry) keep the grid while late by at most one
-  // span; anything later, and any late controller-paced batch, re-anchors.
+  // span; anything later, and any late controller-paced batch, re-anchors
+  // — and only a re-anchor counts.
   using us = std::chrono::microseconds;
   struct Case {
     const char* what;
     bool carry;
     us late;
     us next;  // expected next_send(), relative to the batch's deadline
+    std::uint64_t reanchors;
   };
   const Case cases[] = {
-      {"on time, cap-bound", true, us{0}, us{40}},
-      {"on time, controller-paced", false, us{0}, us{40}},
-      {"cap-bound, late within a span", true, us{25}, us{40}},
-      {"cap-bound, late by exactly a span", true, us{40}, us{40}},
-      {"cap-bound, late beyond a span", true, us{50}, us{90}},
-      {"controller-paced, late", false, us{25}, us{65}},
+      {"on time, cap-bound", true, us{0}, us{40}, 0},
+      {"on time, controller-paced", false, us{0}, us{40}, 0},
+      {"cap-bound, late within a span", true, us{25}, us{40}, 0},
+      {"cap-bound, late by exactly a span", true, us{40}, us{40}, 0},
+      {"cap-bound, late beyond a span", true, us{50}, us{90}, 1},
+      {"controller-paced, late", false, us{25}, us{65}, 1},
   };
   for (const Case& c : cases) {
     Pacer pacer;
@@ -84,18 +108,22 @@ TEST(Pacer, ScheduleKeepsGridOrReanchors) {
     pacer.reset(t0);
     pacer.schedule(us{10}, 4, c.carry, t0 + c.late);
     EXPECT_EQ(pacer.next_send(), t0 + c.next) << c.what;
+    EXPECT_EQ(pacer.reanchors(), c.reanchors) << c.what;
   }
 }
 
 TEST(Pacer, PaceAppliesTheSameRule) {
-  // pace() on a late schedule returns at once and advances like schedule():
-  // a 100 ms span absorbs the ~1 ms of lateness, so the grid holds.
+  // The real-clock path the send heap takes: a deadline already passed
+  // makes wait_until return at once, and the advance rule then holds the
+  // grid — a 100 ms span absorbs the ~1 ms of lateness.
   const auto period = std::chrono::milliseconds{25};
   Pacer pacer;
   const auto t0 = Clock::now() - std::chrono::milliseconds{1};
   pacer.reset(t0);
-  pacer.pace(period, 4, /*carry=*/true);
+  Pacer::wait_until(pacer.next_send());
+  pacer.schedule(period, 4, /*carry=*/true);
   EXPECT_EQ(pacer.next_send(), t0 + 4 * period);
+  EXPECT_EQ(pacer.reanchors(), 0u);
 }
 
 TEST(Pacer, BatchCreditRespectsHorizonAndBounds) {

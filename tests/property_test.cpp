@@ -155,8 +155,8 @@ TEST_P(SocketMssSweep, LoopbackTransferExactAtEveryMss) {
   using namespace udtr::udt;
   SocketOptions opts;
   opts.mss_bytes = GetParam();
-  opts.loss_injection = 0.01;  // exercise retransmission at every size
-  opts.loss_seed = 77;
+  // Exercise retransmission at every size.
+  opts.faults = make_loss_injector(0.01, 77, kHeaderBytes + 16);
   auto listener = Socket::listen(0, opts);
   ASSERT_NE(listener, nullptr);
   auto accepted = std::async(std::launch::async, [&] {

@@ -482,8 +482,8 @@ TEST(SocketCcAlgo, EveryBuiltinAlgorithmTransfersExactly) {
   for (const std::string& name : congestion_names()) {
     SocketOptions client;
     client.congestion = name;
-    client.loss_injection = 0.02;  // exercise the on_nak path too
-    client.loss_seed = 7;
+    // Exercise the on_nak path too.
+    client.faults = make_loss_injector(0.02, 7, kHeaderBytes + 16);
     Pair p = make_pair_opts({}, client);
     ASSERT_NE(p.client, nullptr) << name;
     ASSERT_NE(p.server, nullptr) << name;

@@ -119,8 +119,7 @@ TEST(SocketFlow, WindowControlOffStillReliableUnderLoss) {
   // but the NAK machinery still delivers every byte.
   SocketOptions opts;
   opts.window_control = false;
-  opts.loss_injection = 0.03;
-  opts.loss_seed = 5;
+  opts.faults = make_loss_injector(0.03, 5, kHeaderBytes + 16);
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});

@@ -81,8 +81,7 @@ TEST(SendOverlapped, ReturnImpliesBufferReusable) {
 
 TEST(SendOverlapped, SurvivesLossWithRetransmissionsFromBorrowedMemory) {
   SocketOptions opts;
-  opts.loss_injection = 0.05;
-  opts.loss_seed = 23;
+  opts.faults = make_loss_injector(0.05, 23, kHeaderBytes + 16);
   Pair p = make_pair(opts);
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);

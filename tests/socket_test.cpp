@@ -91,8 +91,8 @@ TEST(Socket, MultiMegabyteTransferIsExact) {
 TEST(Socket, TransferSurvivesInjectedLoss) {
   const auto payload = make_payload(1 << 20, 3);
   SocketOptions client;
-  client.loss_injection = 0.02;  // 2% forward data loss
-  client.loss_seed = 99;
+  // 2% forward data loss.
+  client.faults = make_loss_injector(0.02, 99, kHeaderBytes + 16);
   const auto got = transfer(payload, {}, client);
   EXPECT_EQ(got, payload);
 }
@@ -100,8 +100,7 @@ TEST(Socket, TransferSurvivesInjectedLoss) {
 TEST(Socket, TransferSurvivesHeavyLoss) {
   const auto payload = make_payload(256 << 10, 4);
   SocketOptions client;
-  client.loss_injection = 0.15;
-  client.loss_seed = 7;
+  client.faults = make_loss_injector(0.15, 7, kHeaderBytes + 16);
   const auto got = transfer(payload, {}, client);
   EXPECT_EQ(got, payload);
 }
@@ -120,8 +119,7 @@ TEST(Socket, WraparoundWithLoss) {
   const auto payload = make_payload(512 << 10, 6);
   SocketOptions client;
   client.initial_seq = udtr::SeqNo::kMax - 50;
-  client.loss_injection = 0.05;
-  client.loss_seed = 3;
+  client.faults = make_loss_injector(0.05, 3, kHeaderBytes + 16);
   const auto got = transfer(payload, {}, client);
   EXPECT_EQ(got, payload);
 }

@@ -1,8 +1,8 @@
 // Every thread the library starts carries a name (at most 15 characters,
 // Linux's limit), so per-thread tools such as `top -H` or `pidstat -t` can
-// attribute CPU to the multiplexer shards, the exclusive-port loops and the
-// file pipeline's disk stages.  The names are read back the way those tools
-// read them: from /proc/self/task/*/comm.
+// attribute CPU to the multiplexer shards (exclusive-port sockets included)
+// and the file pipeline's disk stages.  The names are read back the way
+// those tools read them: from /proc/self/task/*/comm.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "udt/file_pipeline.hpp"
+#include "udt/multiplexer.hpp"
 #include "udt/socket.hpp"
 
 namespace udtr::udt {
@@ -74,9 +75,13 @@ TEST(ThreadNames, ExclusivePortLoopsAreNamed) {
   Pair p = connect_pair(opts);
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);
+  // Each exclusive socket runs on a private single-shard multiplexer, so
+  // its loops carry shard 0's names.
+  ASSERT_NE(p.client->multiplexer(), nullptr);
+  EXPECT_EQ(p.client->multiplexer()->shards(), 1u);
   const auto names = thread_names();
-  EXPECT_TRUE(names.count("udt-snd")) << "no udt-snd thread";
-  EXPECT_TRUE(names.count("udt-rcv")) << "no udt-rcv thread";
+  EXPECT_TRUE(names.count("udt-tx/0")) << "no udt-tx/0 thread";
+  EXPECT_TRUE(names.count("udt-rx/0")) << "no udt-rx/0 thread";
   p.client->close();
   p.server->close();
 }

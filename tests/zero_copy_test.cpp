@@ -1,8 +1,8 @@
 // Zero-copy datapath coverage: SndBuffer chunk pinning across unlocked
 // sends, RecvSlab reference-counted slot ownership moving into RcvBuffer,
 // the overlapped user buffer under out-of-order arrival, the scatter-gather
-// channel send (two-iovec and GSO-run forms), GRO grid parsing, and parity
-// between the zero-copy and legacy staging datapaths.
+// channel send (two-iovec and GSO-run forms), GRO grid parsing, and
+// end-to-end transfers under reordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,7 +326,7 @@ TEST(ZeroCopyChannel, InjectorSeesEachGatheredDatagramIndividually) {
   EXPECT_EQ(received, 200u - dropped);
 }
 
-// --- end-to-end: overlapped receive under reordering, and parity -----------
+// --- end-to-end: overlapped receive under reordering ------------------------
 
 struct Pair {
   std::unique_ptr<Socket> listener, client, server;
@@ -388,31 +388,6 @@ TEST(ZeroCopySocket, OverlappedRecvByteExactUnderReordering) {
   ASSERT_EQ(got.size(), payload.size());
   EXPECT_EQ(got, payload);
   EXPECT_GT(faults->stats(FaultDir::kSend).reordered, 0u);
-  p.client->close();
-  p.server->close();
-}
-
-TEST(ZeroCopySocket, LegacyDatapathParityByteExact) {
-  SocketOptions legacy;
-  legacy.zero_copy = false;
-  Pair p = make_pair_opts(legacy, legacy);
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-  const auto payload = make_payload(4 << 20, 7);
-  EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
-  p.client->close();
-  p.server->close();
-}
-
-TEST(ZeroCopySocket, MixedModesInteroperate) {
-  SocketOptions zc;           // zero-copy + offload
-  SocketOptions legacy;
-  legacy.zero_copy = false;   // staging datapath
-  Pair p = make_pair_opts(/*server=*/zc, /*client=*/legacy);
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-  const auto payload = make_payload(2 << 20, 8);
-  EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
   p.client->close();
   p.server->close();
 }
