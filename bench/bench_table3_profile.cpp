@@ -50,6 +50,9 @@ struct ProfiledRun {
   // Multiplexer shards behind the server side — the thread layout the
   // shares were measured under (see Profiler::set_shards).
   int shards = 1;
+  // The client's sends left as GSO super-datagrams, whose batch ceiling is
+  // one whole super-datagram rather than io_batch (send_batch_ceiling).
+  bool gso_active = false;
   bool ok = false;
 };
 
@@ -114,6 +117,8 @@ ProfiledRun run_profiled(double seconds, int io_batch,
   out.snd_report = sp.report();
   out.rcv_report = rp.report();
   out.shards = rp.shards();
+  out.gso_active =
+      client->multiplexer()->channel_for(client->id()).gso_active();
   out.ok = true;
   stop = true;
   client->close();
@@ -222,6 +227,7 @@ int main(int argc, char** argv) {
       {"payload_copies_per_byte_rcv_zerocopy", batched.rcv_copies_per_byte},
       {"shards", static_cast<double>(batched.shards)},
       {"uring_supported", uring ? 1.0 : 0.0},
+      {"gso_active", batched.gso_active ? 1.0 : 0.0},
       {"syscalls_per_packet_snd_mmsg", batched.snd_syscalls_per_packet},
       {"syscalls_per_packet_rcv_mmsg", batched.rcv_syscalls_per_packet},
       {"syscalls_per_packet_snd_uring", uring_run.snd_syscalls_per_packet},

@@ -2,7 +2,7 @@
 """Perf smoke: compare a BENCH_*.json against a committed baseline.
 
 Usage: compare_bench.py CURRENT.json BASELINE.json [--tolerance 0.2]
-                        [--skip-unless KEY]
+                        [--skip-unless KEY]... [--skip-if KEY]...
 
 The baseline file lists only the keys worth gating on — structural numbers
 (syscalls per packet, payload copies per byte) that are stable run over run,
@@ -15,7 +15,10 @@ report of any violation (all keys are still printed).
 --skip-unless KEY gates the whole comparison on a capability flag in the
 CURRENT document: when KEY is missing, zero, or falsy there (e.g.
 uring_supported on a kernel without io_uring), the script prints SKIPPED and
-exits 0 instead of failing on keys the run could not produce.
+exits 0 instead of failing on keys the run could not produce.  --skip-if
+KEY is the converse: skip when KEY is truthy (e.g. gso_active, for the
+baseline of a run with offload off).  Both may be repeated; any one that
+applies skips the comparison.
 """
 
 import argparse
@@ -29,8 +32,11 @@ def main() -> int:
     ap.add_argument("baseline")
     ap.add_argument("--tolerance", type=float, default=0.2,
                     help="allowed relative deviation (0.2 = +/-20%%)")
-    ap.add_argument("--skip-unless", metavar="KEY", default=None,
+    ap.add_argument("--skip-unless", metavar="KEY", action="append",
+                    default=[],
                     help="skip (exit 0) unless KEY is truthy in CURRENT")
+    ap.add_argument("--skip-if", metavar="KEY", action="append", default=[],
+                    help="skip (exit 0) if KEY is truthy in CURRENT")
     args = ap.parse_args()
 
     with open(args.current) as f:
@@ -38,10 +44,16 @@ def main() -> int:
     with open(args.baseline) as f:
         baseline = json.load(f)
 
-    if args.skip_unless is not None and not current.get(args.skip_unless):
-        print(f"SKIPPED: {args.current} has no truthy "
-              f"'{args.skip_unless}' — comparison not applicable here")
-        return 0
+    for key in args.skip_unless:
+        if not current.get(key):
+            print(f"SKIPPED: {args.current} has no truthy "
+                  f"'{key}' — comparison not applicable here")
+            return 0
+    for key in args.skip_if:
+        if current.get(key):
+            print(f"SKIPPED: {args.current} has a truthy "
+                  f"'{key}' — comparison not applicable here")
+            return 0
 
     skipped_meta = {"git_sha", "generated_utc"}
     failures = 0

@@ -196,7 +196,11 @@ bool UdpChannel::attach_reuseport_steering(unsigned shards) {
 
 void UdpChannel::close() {
   // The ring (with its in-flight recvmsg SQEs into slab slots) must die
-  // before the socket fd it targets.
+  // before the socket fd it targets.  Shutting the read side first ends
+  // the ring's multishot recvmsg with a terminal completion, which the
+  // engine's teardown waits for.  On an unconnected UDP socket shutdown()
+  // reports ENOTCONN but still shuts the read side and wakes its waiters.
+  if (uring_ && fd_ >= 0) ::shutdown(fd_, SHUT_RD);
   uring_.reset();
   if (fd_ >= 0) {
     ::close(fd_);
@@ -684,6 +688,10 @@ void UdpChannel::drain_tx(void* ctx) {
 }
 
 bool UdpChannel::uring_supported() { return UringEngine::probe(); }
+
+std::uint64_t UdpChannel::uring_teardown_leaks() {
+  return UringEngine::teardown_leaks();
+}
 
 std::uint64_t UdpChannel::uring_rx_backpressure() const {
   return uring_ != nullptr ? uring_->rx_backpressure() : 0;

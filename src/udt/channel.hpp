@@ -228,6 +228,10 @@ class UdpChannel {
   // buffer or arrive in copy mode — but sustained growth means the slab is
   // undersized for the receive window.
   [[nodiscard]] std::uint64_t uring_rx_backpressure() const;
+  // Channels whose io_uring teardown found the ring still holding its
+  // receive and leaked the receive buffers instead (process-wide, see
+  // UringEngine::teardown_leaks).
+  [[nodiscard]] static std::uint64_t uring_teardown_leaks();
 
   // Extra bytes every receive buffer must carry beyond the payload
   // capacity: the uring backend's multishot recvmsg writes a per-datagram

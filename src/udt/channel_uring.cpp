@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -92,6 +93,10 @@ void* alloc_ring_pages(std::size_t bytes) {
   constexpr std::size_t kPage = 4096;
   return std::aligned_alloc(kPage, (bytes + kPage - 1) & ~(kPage - 1));
 }
+
+// Engines whose teardown gave up on the ring and leaked its receive
+// buffers (UringEngine::teardown_leaks).
+std::atomic<std::uint64_t> g_teardown_leaks{0};
 
 }  // namespace
 
@@ -868,28 +873,47 @@ struct UringEngine::Impl {
     }
   }
 
-  ~Impl() {
-    if (ring_fd < 0) return;
-    // Synchronously cancel the armed recvmsg SQE so the kernel is done
-    // with the slab/arena buffers before we release them.  No feature
-    // guard: IORING_REGISTER_SYNC_CANCEL shipped with IORING_RECV_MULTISHOT
-    // (6.0 uapi), which UDTR_HAVE_URING already requires — and it is an
-    // enum, so `#if defined` would always be false.  Older kernels answer
-    // -EINVAL and the reap loop below absorbs the wait.
+  // Synchronously cancels every request still on the ring.  No feature
+  // guard: IORING_REGISTER_SYNC_CANCEL shipped with IORING_RECV_MULTISHOT
+  // (6.0 uapi), which UDTR_HAVE_URING already requires — and it is an
+  // enum, so `#if defined` would always be false.  Older kernels answer
+  // -EINVAL and the teardown wait absorbs it.
+  void cancel_all() {
     io_uring_sync_cancel_reg creg{};
     creg.flags = IORING_ASYNC_CANCEL_ANY;
     creg.timeout.tv_sec = 0;
     creg.timeout.tv_nsec = 100000000;  // 100ms
     uring_register(ring_fd, IORING_REGISTER_SYNC_CANCEL, &creg, 1);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds{100};
+  }
+
+  ~Impl() {
+    if (ring_fd < 0) return;
+    // The armed multishot recvmsg may write into the slab/arena buffers
+    // until its terminal CQE (no F_MORE) is reaped, so wait for that CQE
+    // before releasing them.  UdpChannel::close() has shut the socket's
+    // read side, which ends the receive; the cancel covers a ring torn
+    // down without that (set_io_backend).  The CQE is posted by kernel
+    // work that runs after the submitting rx thread has exited: about 5 ms
+    // later on an idle host, far later on a loaded one, so there is no
+    // short budget here.  The cancel is re-issued every 100 ms in case one
+    // raced a re-arm.
+    constexpr auto kRecancelGap = std::chrono::milliseconds{100};
+    constexpr auto kPatience = std::chrono::seconds{10};
+    cancel_all();
+    const auto start = std::chrono::steady_clock::now();
+    auto next_cancel = start + kRecancelGap;
     for (;;) {
       {
         std::lock_guard lk{cq_mu};
         reap_locked();
       }
       if (rx_inflight.load(std::memory_order_relaxed) == 0) break;
-      if (std::chrono::steady_clock::now() >= deadline) break;
+      const auto now = std::chrono::steady_clock::now();
+      if (now - start >= kPatience) break;
+      if (now >= next_cancel) {
+        next_cancel = now + kRecancelGap;
+        cancel_all();
+      }
       __kernel_timespec ts{};
       ts.tv_nsec = 5000000;  // 5ms
       io_uring_getevents_arg arg{};
@@ -898,13 +922,14 @@ struct UringEngine::Impl {
                   &arg, sizeof arg);
     }
     if (rx_inflight.load(std::memory_order_relaxed) != 0) {
-      // The kernel may still pick provided buffers and write into them:
+      // A ring that has not retired its receive in kPatience is broken;
+      // the kernel may still pick provided buffers and write into them, so
       // leak the arena, the slab reference and the registered ring memory
-      // instead of risking use-after-free.  This path needs a broken ring
-      // and never fires in practice.
+      // instead of risking use-after-free.
       (void)new std::vector<std::uint8_t>(std::move(rx_arena));
       (void)new std::shared_ptr<RecvSlab>(slab);
       br = nullptr;  // intentionally leaked with the ring registration
+      g_teardown_leaks.fetch_add(1, std::memory_order_relaxed);
     } else {
       release_rx_bufs();
       if (br != nullptr) {
@@ -925,6 +950,10 @@ struct UringEngine::Impl {
 UringEngine::UringEngine(UdpChannel* ch) : ch_(ch) {}
 
 UringEngine::~UringEngine() { delete impl_; }
+
+std::uint64_t UringEngine::teardown_leaks() {
+  return g_teardown_leaks.load(std::memory_order_relaxed);
+}
 
 bool UringEngine::probe() {
   static const bool ok = [] {
@@ -1210,6 +1239,7 @@ struct UringEngine::Impl {};
 
 UringEngine::UringEngine(UdpChannel* ch) : ch_(ch) {}
 UringEngine::~UringEngine() = default;
+std::uint64_t UringEngine::teardown_leaks() { return 0; }
 bool UringEngine::probe() { return false; }
 bool UringEngine::init() { return false; }
 

@@ -61,6 +61,10 @@ class UringEngine {
   // ENOBUFS completions observed: each one is a stretch where the provided
   // ring ran dry and arrivals backed up in the socket buffer.
   [[nodiscard]] std::uint64_t rx_backpressure() const;
+  // Process-wide count of engines torn down while the kernel still held
+  // their multishot receive, whose buffers were leaked rather than freed
+  // under it.  Stays 0 unless a ring stops answering.
+  [[nodiscard]] static std::uint64_t teardown_leaks();
 
  private:
   struct Impl;       // all ring state; opaque so <linux/io_uring.h> stays

@@ -559,7 +559,8 @@ void Multiplexer::handle_handshake(std::span<const std::uint8_t> pkt,
 
 std::uint32_t Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
                                     const Endpoint& src, RecvSlab* slab,
-                                    int slab_slot) {
+                                    int slab_slot,
+                                    std::vector<std::uint32_t>& wakes) {
   if (pkt.size() < kHeaderBytes) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
     return 0;
@@ -588,7 +589,7 @@ std::uint32_t Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
     return 0;
   }
   Socket* s = it->second;
-  s->mux_ingest(pkt, slab, slab_slot);
+  if (s->mux_ingest(pkt, slab, slab_slot)) wakes.push_back(dst);
   // An arrival usually means timer work soon (§4.8: ACK cadence resumes,
   // EXP pushes out) — pull a parked wheel entry in to one SYN from now.
   tighten_timer(owner, s);
@@ -615,6 +616,10 @@ void Multiplexer::rx_loop(Shard& sh) {
     bool timed = false;
     Clock::time_point first{};   // the round's first delivery (timed only)
     std::uint32_t charge_id = 0;  // first profiled socket routed to
+    // Sockets whose reader is owed a wake when the round ends: one wake per
+    // socket per round instead of one per datagram, and none while this
+    // thread still has deliveries to ingest under the socket's state_mu_.
+    std::vector<std::uint32_t> wakes{};
   } sctx{this};
   const UdpChannel::RxSinkFn sink = [](void* c,
                                        const UdpChannel::RxDelivery& d) {
@@ -625,7 +630,7 @@ void Multiplexer::rx_loop(Shard& sh) {
     for_each_datagram(d.data, d.gro_size,
                       [&](std::span<const std::uint8_t> pkt) {
                         const std::uint32_t id = sc->mux->dispatch(
-                            pkt, d.src, d.slab, d.slab_slot);
+                            pkt, d.src, d.slab, d.slab_slot, sc->wakes);
                         if (sc->charge_id == 0) sc->charge_id = id;
                       });
   };
@@ -646,6 +651,7 @@ void Multiplexer::rx_loop(Shard& sh) {
     sctx.charge_id = 0;
     const auto start = sctx.timed ? Clock::now() : Clock::time_point{};
     (void)sh.io->rx_round(rxs, sink, &sctx);
+    wake_readers(sctx.wakes);
     if (sctx.timed && sctx.charge_id != 0) {
       charge_rx_call(sctx.charge_id, sctx.first - start);
     }
@@ -667,6 +673,18 @@ void Multiplexer::rx_loop(Shard& sh) {
   }
   // RxState's destructor releases any still-armed slab slots.
   t_rx_shard = nullptr;
+}
+
+void Multiplexer::wake_readers(std::vector<std::uint32_t>& wakes) {
+  // Same attach-lock rule as dispatch(): a socket detached mid-round is
+  // gone from the index and never touched.
+  for (const std::uint32_t id : wakes) {
+    Shard& owner = shard_for(id);
+    std::shared_lock al{owner.attach_mu};
+    const auto it = owner.socks.find(id);
+    if (it != owner.socks.end()) it->second->wake_reader();
+  }
+  wakes.clear();
 }
 
 void Multiplexer::charge_rx_call(std::uint32_t id,

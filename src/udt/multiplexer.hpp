@@ -357,9 +357,14 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // with kick()'s lock-free path lives here.
   void tx_park(Shard& sh, Clock::time_point deadline);
   // Routes one datagram.  Returns the destination socket's id when that
-  // socket is profiled, else 0.
+  // socket is profiled, else 0.  Appends the socket's id to `wakes` when
+  // the datagram left its reader a wake to deliver after the round.
   std::uint32_t dispatch(std::span<const std::uint8_t> pkt,
-                         const Endpoint& src, RecvSlab* slab, int slab_slot);
+                         const Endpoint& src, RecvSlab* slab, int slab_slot,
+                         std::vector<std::uint32_t>& wakes);
+  // Wakes the reader of every socket listed by one receive round, then
+  // clears the list.  A socket detached meanwhile is skipped.
+  void wake_readers(std::vector<std::uint32_t>& wakes);
   void handle_handshake(std::span<const std::uint8_t> pkt,
                         const Endpoint& src);
   void serve(Shard& sh, std::uint32_t id);

@@ -92,10 +92,11 @@ class Pacer {
 // The span of schedule one send may cover: about 1 ms of the pacing rate,
 // the rule Linux TCP uses to size each TSO/GSO burst (tcp_tso_autosize,
 // with sk_pacing_shift = 10, i.e. rate >> 10 bytes per burst).  It is long
-// enough that a capped stream fills a whole io_batch per syscall (16
-// packets from ~190 Mb/s up at MSS 1500), and short enough that a burst
-// stays small against the round-trip times of the wide-area paths UDT
-// is paced for.
+// enough that a capped stream fills a whole send ceiling per syscall (a
+// 44-segment GSO super-datagram from ~520 Mb/s up at the default MSS, 16
+// plain datagrams from ~190 Mb/s up), and short enough that a burst stays
+// small against the round-trip times of the wide-area paths UDT is paced
+// for.
 inline constexpr std::chrono::nanoseconds kBatchHorizon =
     std::chrono::milliseconds{1};
 
@@ -105,7 +106,8 @@ inline constexpr std::chrono::nanoseconds kBatchHorizon =
 // horizon, and always 1 when the period itself exceeds the horizon (under
 // ~12 Mb/s at MSS 1500, rates keep true per-packet spacing).  `max_batch`
 // is the caller's hard ceiling (iovec array size / SocketOptions::
-// io_batch), so io_batch = 1 still means one packet per syscall.
+// io_batch, or send_batch_ceiling below), so io_batch = 1 still means one
+// packet per syscall.
 [[nodiscard]] inline int batch_credit(std::chrono::nanoseconds period,
                                       int max_batch) {
   if (max_batch <= 1) return 1;
@@ -133,6 +135,21 @@ inline constexpr std::size_t kMaxGsoBytes = 65507;
   if (seg_bytes == 0) return 1;
   return static_cast<int>(std::clamp<std::size_t>(
       kMaxGsoBytes / seg_bytes, 1, static_cast<std::size_t>(kMaxGsoSegments)));
+}
+
+// The most datagrams one paced send may carry (batch_credit's ceiling).
+// A plain sendmmsg moves at most `io_batch` (SocketOptions::io_batch).
+// When the send leaves as a UDP GSO super-datagram the kernel segments it
+// in one traversal, so the ceiling rises to a whole super-datagram of
+// `wire_bytes`-sized segments (44 at the default MSS): the per-syscall cost
+// is paid once per burst while batch_credit's horizon still bounds the
+// burst.
+// io_batch <= 1 keeps one packet per syscall either way.
+[[nodiscard]] inline int send_batch_ceiling(int io_batch, bool gso,
+                                            std::size_t wire_bytes) {
+  const int plain = std::clamp(io_batch, 1, 64);  // io_batch's own clamp
+  if (plain <= 1 || !gso) return plain;
+  return std::max(plain, gso_segment_cap(wire_bytes));
 }
 
 }  // namespace udtr::udt

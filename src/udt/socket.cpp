@@ -275,10 +275,23 @@ void Socket::setup_mux_mode() {
 
 // ---------------------------------------------------------- sender path ---
 
+int Socket::tx_ceiling() const {
+  // Sends leave as GSO super-datagrams only while GSO is on and active on
+  // the channel, which latches it off for good the first time the kernel
+  // refuses it; a fault injector takes send_gather's per-datagram path.
+  const bool gso =
+      opts_.gso && net_->gso_active() && net_->fault_injector() == nullptr;
+  return send_batch_ceiling(
+      opts_.io_batch, gso,
+      static_cast<std::size_t>(opts_.mss_bytes) + kHeaderBytes);
+}
+
 void Socket::prepare_tx_scratch() {
   // One slot per batch entry, plus one spare so an RBPP probe pair never
   // splits across two syscalls when the head lands on the batch edge.
-  tx_max_batch_ = std::clamp(opts_.io_batch, 1, 64);
+  // Sized for the largest ceiling this socket can ever use: GSO only ever
+  // turns off at runtime, never on.
+  tx_max_batch_ = tx_ceiling();
   const std::size_t nslots = static_cast<std::size_t>(tx_max_batch_) + 1;
   // Only the 16-byte header is serialized, into a pooled slot; each
   // datagram is a (header, chunk) span pair the kernel gathers — the
@@ -333,11 +346,12 @@ std::size_t Socket::fill_tx_batch(std::chrono::nanoseconds& period,
   // the credit never spans more than ~1 ms of §4.5 schedule (kBatchHorizon,
   // Linux's tcp_tso_autosize rule), so rates under a packet per ms
   // degenerate to one packet per call (true inter-packet spacing) while
-  // rates from ~190 Mb/s up fill io_batch per call.  GSO run sizing
-  // downstream is bounded by this same credit — send_gather never sees
-  // more datagrams than the pacer granted.
-  const auto credit =
-      static_cast<std::size_t>(batch_credit(period, tx_max_batch_));
+  // faster ones fill the send ceiling per call: one whole GSO
+  // super-datagram while GSO is on, io_batch datagrams otherwise.  GSO run
+  // sizing downstream is bounded by this same credit — send_gather never
+  // sees more datagrams than the pacer granted.
+  const auto credit = static_cast<std::size_t>(
+      batch_credit(period, std::min(tx_max_batch_, tx_ceiling())));
   const double wnd = effective_snd_window();
   const auto next_new = [&]() -> std::int64_t {
     // TTL-dropped chunks transmit nothing, so the flow-control window does
@@ -501,31 +515,39 @@ Pacer::Clock::time_point Socket::tx_round() {
   return more ? pacer_.next_send() : Pacer::Clock::time_point::max();
 }
 
-void Socket::mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
+bool Socket::mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                         int slab_slot) {
   std::lock_guard lk{state_mu_};
   if (state_ == ConnState::kConnecting) {
     // Pre-establishment the only meaningful arrivals are the handshake
     // response and a stateless listener's cookie challenge; stash either
     // for the connecting thread.
-    if (!is_control(pkt)) return;
+    if (!is_control(pkt)) return false;
     const auto hdr = decode_ctrl_header(pkt);
-    if (!hdr || hdr->type != CtrlType::kHandshake) return;
+    if (!hdr || hdr->type != CtrlType::kHandshake) return false;
     const auto resp = decode_handshake_payload(pkt.subspan(kHeaderBytes));
     if (!resp || (resp->request_type != kHsResponse &&
                   resp->request_type != kHsChallenge)) {
-      return;
+      return false;
     }
     hs_resp_ = *resp;
     app_rcv_cv_.notify_all();
-    return;
+    return false;
   }
-  if (!running_) return;
+  if (!running_) return false;
   if (is_control(pkt)) {
     handle_ctrl(pkt);
-  } else {
-    handle_data(pkt, slab, slab_slot);
+    return false;
   }
+  return handle_data(pkt, slab, slab_slot);
+}
+
+void Socket::wake_reader() {
+  // acq_rel pairs with handle_data's exchange: every payload stored before
+  // the flag was raised is visible to the reader this notify wakes.
+  if (!rcv_wake_pending_.exchange(false, std::memory_order_acq_rel)) return;
+  app_rcv_cv_.notify_all();
+  poke_watchers();
 }
 
 Pacer::Clock::time_point Socket::sweep_timers_next() {
@@ -586,14 +608,14 @@ void Socket::wake_sender() {
 
 // ----------------------------------------------------- receive handlers ---
 
-void Socket::handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
+bool Socket::handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                          int slab_slot) {
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
   const DataHeader h = read_data_header(pkt);
   const std::uint64_t now = now_us();
   const std::int64_t index = index_of(h.seq, std::max<std::int64_t>(lrsn_, 0));
-  if (index < 0) return;
-  if (index >= rcv_buffer_.window_end()) return;  // no room: like a net drop
+  if (index < 0) return false;
+  if (index >= rcv_buffer_.window_end()) return false;  // no room: a drop
   ++stats_.data_packets_recv;
   // A data packet is as much proof of peer liveness as a control packet.
   last_ctrl_us_ = now;
@@ -681,8 +703,10 @@ void Socket::handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
     }
   }
   data_since_ack_ = true;
-  app_rcv_cv_.notify_all();
-  poke_watchers();
+  // The reader is woken once per receive round, not per datagram
+  // (Multiplexer::rx_loop calls wake_reader after the round): only the
+  // first arrival since the last wake asks the round to list this socket.
+  return !rcv_wake_pending_.exchange(true, std::memory_order_acq_rel);
 }
 
 void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {

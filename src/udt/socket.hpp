@@ -6,12 +6,12 @@
 //     always giving loss-list retransmissions priority and emitting a
 //     back-to-back packet pair every 16 packets (RBPP); at high rates it
 //     accumulates a pacing-credit's worth of packets and moves them with
-//     one sendmmsg (SocketOptions::io_batch), since per-packet syscalls
-//     dominate CPU (Table 3);
+//     one sendmmsg or GSO super-datagram (SocketOptions::io_batch), since
+//     per-packet syscalls dominate CPU (Table 3);
 //   * the receiver performs time-bounded UDP receives, draining a batch of
 //     queued datagrams per wakeup, and checks the ACK / NAK / EXP timers
 //     once after each wakeup (§4.8), processing both data and control
-//     packets.
+//     packets and waking the application's reader once per wakeup.
 //
 // Those loops run on threads owned by a Multiplexer (multiplexer.hpp), the
 // one datapath: by default every socket bound to the same UDP port shares
@@ -112,8 +112,13 @@ struct SocketOptions {
   // sendmmsg/recvmmsg while the Pacer keeps the average rate on the §4.5
   // schedule (batch_credit bounds each burst to ~1 ms of the pacing rate,
   // the tcp_tso_autosize rule, so rates under one packet per ms still get
-  // true per-packet spacing).  1 = unbatched, the paper's original
-  // per-packet behavior; clamped to [1, 64].
+  // true per-packet spacing).  While sends leave as GSO super-datagrams
+  // the send ceiling rises to one whole super-datagram,
+  // max(io_batch, gso_segment_cap), 44 at the default MSS
+  // (send_batch_ceiling, pacing.hpp); a plain sendmmsg and every receive
+  // stay at io_batch.
+  // 1 = unbatched, the paper's original per-packet behavior, GSO or not;
+  // clamped to [1, 64].
   int io_batch = 16;
   // UDP GSO/GRO offload on top of the zero-copy datapath (the sender hands
   // the kernel (header, payload) iovecs pointing into SndBuffer chunks, the
@@ -415,6 +420,10 @@ class Socket {
   // including a genuine zero, which halts new data entirely (flow control
   // belongs to the socket, not the controller).
   [[nodiscard]] double effective_snd_window() const;
+  // The most datagrams one send may carry right now (send_batch_ceiling):
+  // a whole GSO super-datagram while sends leave through GSO, else
+  // io_batch.
+  [[nodiscard]] int tx_ceiling() const;
   void prepare_tx_scratch();
   // Fills the tx scratch with up to one pacing-credit of packets and pins
   // the covered range.  state_mu_ held.  Returns the number of
@@ -437,9 +446,15 @@ class Socket {
   // until a state change kicks it again.
   [[nodiscard]] Pacer::Clock::time_point tx_round();
   // Receive-thread entry for one demultiplexed datagram (>= kHeaderBytes,
-  // already routed by destination id).  Takes state_mu_.
-  void mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
+  // already routed by destination id).  Takes state_mu_.  Returns true when
+  // the datagram raised the reader-wake flag: the calling receive thread
+  // must call wake_reader() once its round ends.
+  bool mux_ingest(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                   int slab_slot);
+  // Wakes recv()/recvmsg()/recvfile() waiters and Poller watchers if a
+  // wake is pending.  Called without state_mu_ by the receive thread that
+  // listed this socket, under its shard's attach lock.
+  void wake_reader();
   // Timer-wheel sweep: check_timers() under state_mu_, then return the
   // earliest §4.8 deadline (ACK / NAK / EXP, as applicable) so the
   // multiplexer can re-arm this socket's wheel entry — an idle socket parks
@@ -460,8 +475,10 @@ class Socket {
   // the payload is parked in RcvBuffer by reference (slot ownership moves,
   // no copy); when null (the slab ran dry) the payload is copied into owned
   // slot storage.
-  void handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
-                   int slab_slot);
+  // handle_data returns true when it raised rcv_wake_pending_ (see
+  // mux_ingest).
+  [[nodiscard]] bool handle_data(std::span<const std::uint8_t> pkt,
+                                 RecvSlab* slab, int slab_slot);
   void handle_ctrl(std::span<const std::uint8_t> pkt);
   void check_timers();
   // EXP budget exhausted: mark the connection dead and release every
@@ -630,6 +647,10 @@ class Socket {
   std::array<std::pair<std::int32_t, std::uint64_t>, 16> ack_times_{};
   std::int64_t last_acked_index_ = -1;
   bool data_since_ack_ = false;
+  // Data arrived since the last wake_reader(): the receive round that
+  // raised it wakes the reader once when the round ends.  Raised under
+  // state_mu_, cleared by wake_reader without it.
+  std::atomic<bool> rcv_wake_pending_{false};
   // True after an ACK advertised zero free buffer: arms the receiver-side
   // reopen paths (immediate window-update ACK on drain, ACK response to the
   // sender's zero-window probes).

@@ -290,6 +290,37 @@ TEST(MessageMode, BoundariesPreservedAcrossSizes) {
   p.server->close();
 }
 
+// A message of max_msg_pkts packets spans many receive rounds, and its
+// reader is woken once per round, not per packet: recvmsg must still
+// return each one whole, never a completed prefix.
+TEST(MessageMode, MaxSizeMessagesArriveWhole) {
+  Pair p = make_pair_opts({}, {});
+  ASSERT_NE(p.client, nullptr);
+  ASSERT_NE(p.server, nullptr);
+  const SocketOptions defaults;
+  const std::size_t max_bytes = static_cast<std::size_t>(defaults.mss_bytes) *
+                                static_cast<std::size_t>(defaults.max_msg_pkts);
+  constexpr std::size_t kMsgs = 3;
+  auto sender = std::async(std::launch::async, [&] {
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < kMsgs; ++i) {
+      const auto m = make_msg(i, max_bytes);
+      ok += p.client->sendmsg(m) == m.size() ? 1 : 0;
+    }
+    return ok;
+  });
+  std::vector<std::uint8_t> buf(max_bytes);
+  for (std::size_t i = 0; i < kMsgs; ++i) {
+    const std::size_t n = p.server->recvmsg(buf, std::chrono::seconds{15});
+    ASSERT_EQ(n, max_bytes) << "message " << i;
+    expect_msg_intact(std::span{buf.data(), n});
+    EXPECT_EQ(msg_id(std::span{buf.data(), n}), i);
+  }
+  EXPECT_EQ(sender.get(), kMsgs);
+  p.client->close();
+  p.server->close();
+}
+
 void run_faulted_roundtrip(SocketOptions client_opts, std::size_t n_msgs) {
   FaultConfig cfg;
   cfg.send.drop_p = 0.05;

@@ -536,6 +536,129 @@ TEST(Multiplexer, ExclusivePortRunsOnAPrivateMultiplexer) {
   EXPECT_NE(s2->local_port(), p.server->local_port());
 }
 
+// Each exclusive-port socket tears down a private multiplexer, and with it
+// (on the io_uring backend) a ring whose multishot receive holds receive
+// buffers until the kernel posts its last completion.  Teardown must wait
+// for that completion and free the buffers every time, not give up and
+// leak them: the sanitizer builds' leak check sees a leak at exit, the
+// teardown counter sees it in every build.  Odd rounds close while the
+// peer is still sending, so the receive is busy when the ring goes.
+TEST(Multiplexer, PrivateMultiplexersRetireTheirRings) {
+  SocketOptions opts = small_opts();
+  opts.exclusive_port = true;
+  opts.linger_s = 0.05;  // odd rounds close with data unacknowledged
+  const std::uint64_t leaks0 = UdpChannel::uring_teardown_leaks();
+  for (int round = 0; round < 16; ++round) {
+    MuxPair p = make_pair_opts(opts, opts);
+    ASSERT_NE(p.client, nullptr);
+    ASSERT_NE(p.server, nullptr);
+    ASSERT_EQ(p.server->multiplexer()->uring_active(),
+              UdpChannel::uring_supported());
+    const auto payload = make_payload(64 << 10, 40 + round);
+    if (round % 2 == 0) {
+      EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
+    } else {
+      ASSERT_EQ(p.client->send(payload), payload.size());
+    }
+  }  // every socket, and with it its private multiplexer, is gone here
+  EXPECT_EQ(UdpChannel::uring_teardown_leaks(), leaks0);
+}
+
+// A receive round wakes Poller watchers once, after it has placed its
+// arrivals.  wait_many reports only sockets that such a wake queued, so a
+// watcher that missed one would time out here with data pending.
+TEST(Multiplexer, WatchersSeeEveryReceiveRound) {
+  MuxPair p = make_pair_opts(small_opts(), small_opts());
+  ASSERT_NE(p.client, nullptr);
+  ASSERT_NE(p.server, nullptr);
+  Poller poller;
+  ASSERT_TRUE(poller.add(p.server.get(), kPollIn));
+  std::vector<PollEvent> events(4);
+  std::vector<std::uint8_t> buf(1 << 16);
+  for (int round = 0; round < 20; ++round) {
+    // One packet up to about twenty, so a send spans one or more rounds.
+    const auto msg = make_payload(100 + 1500 * round, 60 + round);
+    ASSERT_EQ(p.client->send(msg), msg.size());
+    std::vector<std::uint8_t> got;
+    while (got.size() < msg.size()) {
+      const std::size_t n = poller.wait_many(events, std::chrono::seconds{5});
+      ASSERT_EQ(n, 1u) << "round " << round << ": " << got.size() << " of "
+                       << msg.size() << " bytes read";
+      EXPECT_EQ(events[0].sock, p.server.get());
+      ASSERT_NE(events[0].events & kPollIn, 0u);
+      const std::size_t r = p.server->recv(buf, std::chrono::milliseconds{0});
+      got.insert(got.end(), buf.begin(), buf.begin() + r);
+    }
+    EXPECT_EQ(got, msg) << "round " << round;
+  }
+}
+
+// Receive rounds list the sockets whose readers they owe a wake and wake
+// them after the round, looking each up again under the attach lock.
+// Servers on a shared port close and are destroyed while their clients
+// keep streaming into them: no round may touch a destroyed socket (the
+// sanitizer builds would report it), and the other servers on the port
+// still receive byte-exact.
+TEST(Multiplexer, ClosingSocketsMidStreamLeavesTheRestExact) {
+  constexpr int kPairs = 8;
+  SocketOptions opts = small_opts();
+  opts.linger_s = 0.05;
+  auto listener = Socket::listen(0, opts);
+  ASSERT_NE(listener, nullptr);
+  std::vector<std::unique_ptr<Socket>> clients(kPairs);
+  std::vector<std::unique_ptr<Socket>> servers(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    auto accepted = std::async(std::launch::async, [&] {
+      return listener->accept(std::chrono::seconds{10});
+    });
+    clients[i] = Socket::connect("127.0.0.1", listener->local_port(), opts);
+    servers[i] = accepted.get();
+    ASSERT_NE(clients[i], nullptr);
+    ASSERT_NE(servers[i], nullptr);
+  }
+  // Even pairs carry a checked payload; odd pairs stream until their
+  // server is gone.
+  const auto payload = make_payload(512 << 10, 77);
+  std::atomic<bool> stop{false};
+  std::vector<std::future<void>> senders;
+  std::vector<std::future<std::vector<std::uint8_t>>> readers;
+  for (int i = 0; i < kPairs; ++i) {
+    Socket* c = clients[i].get();
+    Socket* s = servers[i].get();
+    if (i % 2 == 0) {
+      senders.push_back(std::async(std::launch::async, [c, &payload] {
+        c->send(payload);
+        c->flush(std::chrono::seconds{60});
+      }));
+      readers.push_back(std::async(std::launch::async, [s, &payload] {
+        std::vector<std::uint8_t> got;
+        std::vector<std::uint8_t> buf(1 << 16);
+        while (got.size() < payload.size()) {
+          const std::size_t n = s->recv(buf, std::chrono::seconds{15});
+          if (n == 0) break;
+          got.insert(got.end(), buf.begin(), buf.begin() + n);
+        }
+        return got;
+      }));
+    } else {
+      senders.push_back(std::async(std::launch::async, [c, &stop] {
+        const auto block = make_payload(64 << 10, 78);
+        while (!stop && c->send(block) > 0) {
+        }
+      }));
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds{100});
+  for (int i = 1; i < kPairs; i += 2) {
+    servers[i].reset();  // closes and detaches mid-stream
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  for (auto& r : readers) EXPECT_EQ(r.get(), payload);
+  stop = true;
+  for (int i = 1; i < kPairs; i += 2) clients[i]->close();
+  for (auto& f : senders) f.get();
+}
+
 TEST(Multiplexer, MixedModesInteroperate) {
   SocketOptions exclusive;
   exclusive.exclusive_port = true;

@@ -145,6 +145,30 @@ TEST(Pacer, BatchCreditRespectsHorizonAndBounds) {
   EXPECT_EQ(batch_credit(microseconds{5000}, 1), 1);
 }
 
+TEST(Pacer, SendCeilingIsOneGsoSuperDatagram) {
+  using std::chrono::microseconds;
+  constexpr std::size_t kWire = 1500;  // 43 segments fit 65507 bytes
+  ASSERT_EQ(gso_segment_cap(kWire), 43);
+  // A GSO send may carry a whole super-datagram; a plain sendmmsg io_batch.
+  EXPECT_EQ(send_batch_ceiling(16, true, kWire), 43);
+  EXPECT_EQ(send_batch_ceiling(16, false, kWire), 16);
+  // io_batch = 1 keeps one packet per syscall, GSO or not; io_batch keeps
+  // its [1, 64] clamp and is never lowered to the segment cap.
+  EXPECT_EQ(send_batch_ceiling(1, true, kWire), 1);
+  EXPECT_EQ(send_batch_ceiling(0, true, kWire), 1);
+  EXPECT_EQ(send_batch_ceiling(64, true, kWire), 64);
+  EXPECT_EQ(send_batch_ceiling(100, false, kWire), 64);
+  EXPECT_EQ(send_batch_ceiling(16, true, 9000), 16);  // 7 jumbo segments
+  // The 1 ms horizon still bounds the burst below the ceiling: 400 Mb/s
+  // (a 30 us period) sends 33 per GSO send, 950 Mb/s the whole 43.
+  EXPECT_EQ(batch_credit(microseconds{30}, send_batch_ceiling(16, true, kWire)),
+            33);
+  EXPECT_EQ(batch_credit(microseconds{12}, send_batch_ceiling(16, true, kWire)),
+            43);
+  EXPECT_EQ(
+      batch_credit(microseconds{12}, send_batch_ceiling(16, false, kWire)), 16);
+}
+
 TEST(Profiler, AccumulatesPerUnit) {
   Profiler prof;
   prof.add(ProfUnit::kUdpIo, 600);

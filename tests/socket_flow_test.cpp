@@ -311,6 +311,64 @@ TEST_P(CapTracking, DeliversTheCapWithinHeaderOverhead) {
   }
 }
 
+// One stream connection at a `cap_mbps` rate cap, loaded by a sender of
+// 1 MiB blocks and drained by a reader with a 1 MiB buffer (at least
+// 4·MSS, so recv() arms it for direct placement) until finish().  The
+// reader counts its returns and the bytes they carried.
+class CappedFlow {
+ public:
+  CappedFlow(double cap_mbps, IoBackend backend) {
+    opts.max_bandwidth_mbps = cap_mbps;
+    opts.io_backend = backend;
+    listener = Socket::listen(0, opts);
+    if (listener == nullptr) return;
+    auto accepted = std::async(std::launch::async, [&] {
+      return listener->accept(std::chrono::seconds{5});
+    });
+    client = Socket::connect("127.0.0.1", listener->local_port(), opts);
+    server = accepted.get();
+    if (client == nullptr || server == nullptr) return;
+    snd_ = std::async(std::launch::async, [this] {
+      const auto block = make_payload(1 << 20, 11);
+      while (!stop_) client->send(block);
+    });
+    rcv_ = std::async(std::launch::async, [this] {
+      std::vector<std::uint8_t> buf(1 << 20);
+      while (!stop_) {
+        const std::size_t n = server->recv(buf, std::chrono::milliseconds{100});
+        if (n == 0) continue;
+        recv_returns += 1;
+        recv_bytes += n;
+      }
+    });
+  }
+  ~CappedFlow() { finish(); }
+  [[nodiscard]] bool up() const { return client && server; }
+  // The sending channel of the client.
+  [[nodiscard]] const UdpChannel& tx_channel() const {
+    return client->multiplexer()->channel_for(client->id());
+  }
+  void finish() {
+    if (stop_.exchange(true) || !up()) return;
+    client->close();
+    server->close();
+    snd_.get();
+    rcv_.get();
+  }
+
+  SocketOptions opts;
+  std::unique_ptr<Socket> listener;
+  std::unique_ptr<Socket> client;
+  std::unique_ptr<Socket> server;
+  std::atomic<std::uint64_t> recv_returns{0};
+  std::atomic<std::uint64_t> recv_bytes{0};
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::future<void> snd_;
+  std::future<void> rcv_;
+};
+
 // Each paced send carries about 1 ms of the rate (kBatchHorizon, the
 // tcp_tso_autosize rule): at a 100 Mb/s cap, a period of ~121 us, that is
 // 8 packets where a 200 us horizon allowed 1.  Datagrams per send syscall,
@@ -321,55 +379,92 @@ TEST_P(CapTracking, DeliversTheCapWithinHeaderOverhead) {
 // the average down.
 TEST(SocketFlow, PacedSendsCarryOneHorizonOfTheRate) {
   constexpr double kCapMbps = 100.0;
-  SocketOptions opts;
-  opts.max_bandwidth_mbps = kCapMbps;
   // The mmsg backend counts every send syscall it makes; the uring
   // backend's receive thread may submit queued sends on the sender's
   // behalf, so its count is not one per burst.
-  opts.io_backend = IoBackend::kMmsg;
-  auto listener = Socket::listen(0, opts);
-  ASSERT_NE(listener, nullptr);
-  auto accepted = std::async(std::launch::async, [&] {
-    return listener->accept(std::chrono::seconds{5});
-  });
-  auto client = Socket::connect("127.0.0.1", listener->local_port(), opts);
-  auto server = accepted.get();
-  ASSERT_NE(client, nullptr);
-  ASSERT_NE(server, nullptr);
-  const auto mux = client->multiplexer();
-  ASSERT_NE(mux, nullptr);
-  const UdpChannel& ch = mux->channel_for(client->id());
-
-  std::atomic<bool> stop{false};
-  auto snd = std::async(std::launch::async, [&] {
-    const auto block = make_payload(1 << 20, 11);
-    while (!stop) client->send(block);
-  });
-  auto rcv = std::async(std::launch::async, [&] {
-    std::vector<std::uint8_t> buf(1 << 20);
-    while (!stop) server->recv(buf, std::chrono::milliseconds{100});
-  });
+  CappedFlow flow{kCapMbps, IoBackend::kMmsg};
+  ASSERT_TRUE(flow.up());
+  const UdpChannel& ch = flow.tx_channel();
   std::this_thread::sleep_for(std::chrono::milliseconds{500});
   const auto d0 = ch.datagrams_sent();
   const auto c0 = ch.send_syscalls();
   std::this_thread::sleep_for(std::chrono::seconds{1});
   const auto d1 = ch.datagrams_sent();
   const auto c1 = ch.send_syscalls();
-  stop = true;
-  client->close();
-  server->close();
-  snd.get();
-  rcv.get();
+  flow.finish();
 
   ASSERT_GT(c1, c0);
   const double per_send =
       static_cast<double>(d1 - d0) / static_cast<double>(c1 - c0);
   const double period_ns =
-      (opts.mss_bytes + kHeaderBytes) * 8.0 / kCapMbps * 1e3;
+      (flow.opts.mss_bytes + kHeaderBytes) * 8.0 / kCapMbps * 1e3;
   const double horizon_pkts = std::ceil(
       static_cast<double>(kBatchHorizon.count()) / period_ns);
   EXPECT_GT(per_send, 4.0) << "datagrams per send";
   EXPECT_LE(per_send, horizon_pkts) << "datagrams per send";
+}
+
+// While GSO is on, a paced send is not capped at io_batch (16) but at one
+// whole GSO super-datagram (send_batch_ceiling: 44 segments at the default
+// MSS),
+// so at 400 Mb/s (a ~30 us period) one send carries the whole 1 ms horizon,
+// about 32 packets.  Datagrams per GSO super-datagram, read from the
+// sending channel's counters, must sit well above io_batch (control
+// datagrams leave outside GSO and add a fraction of one) and never above
+// min(ceil(1 ms / period), the GSO segment cap).
+TEST(SocketFlow, GsoSendsCarryTheHorizonPastIoBatch) {
+  constexpr double kCapMbps = 400.0;
+  CappedFlow flow{kCapMbps, IoBackend::kMmsg};
+  ASSERT_TRUE(flow.up());
+  const UdpChannel& ch = flow.tx_channel();
+  if (!ch.gso_active()) {
+    flow.finish();
+    GTEST_SKIP() << "SKIPPED (GSO inactive: the ceiling stays io_batch)";
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds{500});
+  const auto d0 = ch.datagrams_sent();
+  const auto g0 = ch.gso_super_datagrams();
+  std::this_thread::sleep_for(std::chrono::seconds{1});
+  const auto d1 = ch.datagrams_sent();
+  const auto g1 = ch.gso_super_datagrams();
+  flow.finish();
+
+  ASSERT_GT(g1, g0);
+  const double per_gso =
+      static_cast<double>(d1 - d0) / static_cast<double>(g1 - g0);
+  const auto wire = static_cast<std::size_t>(flow.opts.mss_bytes) + kHeaderBytes;
+  const double period_ns = static_cast<double>(wire) * 8.0 / kCapMbps * 1e3;
+  const double bound = std::min(
+      std::ceil(static_cast<double>(kBatchHorizon.count()) / period_ns),
+      static_cast<double>(gso_segment_cap(wire)));
+  EXPECT_EQ(send_batch_ceiling(flow.opts.io_batch, true, wire),
+            gso_segment_cap(wire));
+  EXPECT_GT(per_gso, flow.opts.io_batch + 4.0) << "datagrams per GSO send";
+  EXPECT_LE(per_gso, bound) << "datagrams per GSO send";
+}
+
+// The receive thread wakes a blocked reader once per receive round, after
+// the round's arrivals are all placed, not once per datagram.  A reader
+// blocked in recv() with a buffer armed for direct placement (at least
+// 4·MSS) therefore gets several packets per return: at 400 Mb/s a round
+// carries a GRO burst or a batch of datagrams (about 33 MSS per return
+// with GRO, 16 without, on a 4-vCPU VM).  The bound asks for a quarter of
+// the no-GRO figure.
+TEST(SocketFlow, BlockedReaderGetsARoundPerReturn) {
+  CappedFlow flow{400.0, IoBackend::kAuto};
+  ASSERT_TRUE(flow.up());
+  std::this_thread::sleep_for(std::chrono::milliseconds{500});
+  const std::uint64_t r0 = flow.recv_returns;
+  const std::uint64_t b0 = flow.recv_bytes;
+  std::this_thread::sleep_for(std::chrono::seconds{1});
+  const std::uint64_t r1 = flow.recv_returns;
+  const std::uint64_t b1 = flow.recv_bytes;
+  flow.finish();
+
+  ASSERT_GT(r1, r0);
+  const double per_return =
+      static_cast<double>(b1 - b0) / static_cast<double>(r1 - r0);
+  EXPECT_GT(per_return, 4.0 * flow.opts.mss_bytes) << "bytes per recv()";
 }
 
 INSTANTIATE_TEST_SUITE_P(SocketFlow, CapTracking, ::testing::Bool(),
